@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <optional>
@@ -84,11 +85,13 @@ class ShardedLRUCache {
   }
 
   /// Inserts or overwrites `key`, making it most recent; evicts the shard's
-  /// least recently used entry when over capacity.
+  /// least recently used entry when over capacity. The evicted value is
+  /// destroyed after the shard lock is released.
   template <typename LookupKey>
   void Put(const LookupKey& key, Value value) {
     if (capacity_ == 0) return;
     Shard& shard = ShardFor(key);
+    EntryList evicted;  // declared before the lock, so destroyed after it
     MutexLock lk(shard.mu);
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
@@ -100,7 +103,7 @@ class ShardedLRUCache {
     shard.index.emplace(shard.lru.front().key, shard.lru.begin());
     if (shard.lru.size() > per_shard_capacity_) {
       shard.index.erase(shard.lru.back().key);
-      shard.lru.pop_back();
+      evicted.splice(evicted.begin(), shard.lru, std::prev(shard.lru.end()));
       evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }

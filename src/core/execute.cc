@@ -42,6 +42,19 @@ struct Group {
   ArenaVector<size_t> unit_indices;
 };
 
+/// The one dispatch rule (DESIGN.md §10): SELECT units, and units that carry
+/// an AST but no text, run their AST on the node session; everything else
+/// ships its text for the node to parse (DDL, and DML on the text lanes).
+Result<engine::ExecResult> DispatchUnit(net::RemoteConnection* conn,
+                                        const SQLUnit& unit) {
+  if (unit.stmt != nullptr &&
+      (unit.sql.empty() ||
+       unit.stmt->kind() == sql::StatementKind::kSelect)) {
+    return conn->ExecuteStatement(*unit.stmt, unit.sql, unit.params);
+  }
+  return conn->Execute(unit.sql, unit.params);
+}
+
 /// Executes a list of units serially on one connection. `results` points at
 /// the per-unit slot array (indexed by the unit's position in `units`).
 /// `tr`/`parent` carry the statement trace across pool workers explicitly —
@@ -64,14 +77,7 @@ void RunSerial(net::RemoteConnection* conn, const std::vector<SQLUnit>& units,
         continue;
       }
     }
-    // Structured pass-through units (empty text + attached AST) skip the
-    // protocol encode and the node-side parse; everything else ships text.
-    const SQLUnit& unit = units[idx];
-    if (unit.stmt != nullptr && unit.sql.empty()) {
-      results[idx] = conn->ExecuteStructured(*unit.stmt, unit.params);
-    } else {
-      results[idx] = conn->Execute(unit.sql, unit.params);
-    }
+    results[idx] = DispatchUnit(conn, units[idx]);
     if (observer != nullptr) {
       // Unconditional: the observer must also see failed units (to roll back
       // and report the branch); its status only overrides a success.
@@ -129,11 +135,7 @@ Result<ExecutionOutcome> ExecutionEngine::Execute(
       }
     }
     if (executed) {
-      if (unit.stmt != nullptr && unit.sql.empty()) {
-        r = conn->ExecuteStructured(*unit.stmt, unit.params);
-      } else {
-        r = conn->Execute(unit.sql, unit.params);
-      }
+      r = DispatchUnit(conn, unit);
       if (observer != nullptr) {
         Status st = observer->AfterUnit(conn, unit, r);
         if (!st.ok() && r.ok()) r = st;

@@ -271,6 +271,22 @@ void InlineParamsInPlace(sql::ExprPtr* e, const std::vector<Value>& params) {
   }
 }
 
+/// One SELECT unit: `tmpl` cloned onto the unit's actual tables. The clone
+/// is what the node executes; the rendered text prices the request on the
+/// modeled wire and is what PREVIEW/TRACE show (DESIGN.md §10).
+SQLUnit MakeSelectUnit(const sql::Statement& tmpl, const RouteUnit& unit,
+                       const std::vector<Value>& params,
+                       const sql::Dialect& dialect) {
+  auto clone_stmt = tmpl.Clone();
+  ApplyTableMappings(clone_stmt.get(), unit);
+  SQLUnit out;
+  out.data_source = unit.data_source;
+  out.sql = clone_stmt->ToSQL(dialect);
+  out.params = params;
+  out.stmt = std::shared_ptr<const sql::Statement>(std::move(clone_stmt));
+  return out;
+}
+
 /// Materializes ? placeholders into literals (used for INSERT splitting where
 /// dropping rows would renumber the remaining placeholders).
 sql::ExprPtr InlineParams(const sql::Expr* e, const std::vector<Value>& params) {
@@ -337,10 +353,8 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
     // Single-node optimization (paper §VI-C): no derivation, no pagination
     // revision — the one node computes the exact answer.
     merge.pass_through = true;
-    auto clone_stmt = stmt.Clone();
-    ApplyTableMappings(clone_stmt.get(), route.units[0]);
-    out.units.push_back(SQLUnit{route.units[0].data_source,
-                                clone_stmt->ToSQL(dialect_), params, nullptr});
+    out.units.push_back(
+        MakeSelectUnit(stmt, route.units[0], params, dialect_));
     return out;
   }
 
@@ -472,10 +486,7 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
   }
 
   for (const RouteUnit& unit : route.units) {
-    auto clone_stmt = tmpl->Clone();
-    ApplyTableMappings(clone_stmt.get(), unit);
-    out.units.push_back(
-        SQLUnit{unit.data_source, clone_stmt->ToSQL(dialect_), params, nullptr});
+    out.units.push_back(MakeSelectUnit(*tmpl, unit, params, dialect_));
   }
   return out;
 }

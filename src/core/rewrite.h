@@ -50,14 +50,18 @@ struct MergeContext {
   std::optional<sql::LimitClause> limit;  ///< applied after merging
 };
 
-/// One executable SQL destined for one data source.
+/// One executable SQL destined for one data source (DESIGN.md §10).
 ///
-/// Units come in two forms (DESIGN.md §10). Text form: `sql` holds the
-/// rewritten statement and `stmt` may additionally carry the rewritten AST
-/// (observers use it to skip a re-parse). Structured form (DML pass-through):
-/// `sql` is empty and `stmt` is the unit's whole identity — the execution
-/// engine hands it to the node session directly, and anything that needs a
-/// display text renders it on demand via RenderSQL.
+/// `stmt` is the unit's rewritten AST and `sql` its rendered text. Which of
+/// the two the node runs follows one rule (ExecutionEngine): a SELECT unit,
+/// or any unit with an AST but no text, runs its AST on the node session
+/// with no node-side parse; every other unit ships its text.
+///  - SELECT units carry both. The text prices the request on the modeled
+///    wire and is what PREVIEW/TRACE display; the AST is what runs.
+///  - Structured DML units leave `sql` empty. Anything that needs a display
+///    text renders it on demand via RenderSQL.
+///  - DML on the text lanes (`dml_passthrough` off) and DDL ship text; a DML
+///    unit's AST then only serves observers (BASE undo images).
 struct SQLUnit {
   std::string data_source;
   std::string sql;

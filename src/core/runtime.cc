@@ -221,16 +221,23 @@ Result<engine::ExecResult> ShardingRuntime::ExecutePlan(
                             observer);
   }
 
+  // Read the epoch before routing: if SetRule lands in between, the plan we
+  // publish carries the stale epoch and is never reused.
+  uint64_t epoch = stmt_cache_.epoch();
+  std::shared_ptr<const RoutedPlan> routed = plan.routed(epoch);
+  if (routed == nullptr && !plan.NoteUnroutedExecution()) {
+    // Publish on repeat: a first execution routes and rewrites in the
+    // statement arena and leaves nothing behind.
+    return ExecuteStatement(plan.stmt(), std::move(params), txn_source,
+                            observer);
+  }
+
   trace::StatementTraceScope tscope(
       engine::PipelineConfig::observability_enabled(),
       engine::PipelineConfig::trace_sample_interval());
 
   ArenaScope arena_scope(engine::PipelineConfig::arena_statements_enabled());
 
-  // Read the epoch before routing: if SetRule lands in between, the plan we
-  // publish carries the stale epoch and is never reused.
-  uint64_t epoch = stmt_cache_.epoch();
-  std::shared_ptr<const RoutedPlan> routed = plan.routed(epoch);
   if (routed == nullptr) {
     // The routed plan is published for reuse by later statements, so its
     // rewrite (clones included) must be heap-built, not arena-built.

@@ -106,9 +106,11 @@ class ShardingRuntime {
       std::string_view sql_text);
 
   /// Runs the pipeline for a cached plan. Zero-parameter SELECTs outside of
-  /// feature interceptors reuse the plan's routed/rewritten form (computed at
-  /// most once per rule epoch) and jump straight to the executor; everything
-  /// else takes the regular ExecuteStatement pipeline on the shared AST.
+  /// feature interceptors reuse the plan's routed/rewritten form and jump
+  /// straight to the executor. That form is built and published on the
+  /// plan's second execution (at most once per rule epoch after that); the
+  /// first execution, and everything else, takes the regular
+  /// ExecuteStatement pipeline on the shared AST.
   Result<engine::ExecResult> ExecutePlan(const StatementPlan& plan,
                                          std::vector<Value> params,
                                          ConnectionSource* txn_source,

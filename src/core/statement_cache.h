@@ -23,9 +23,10 @@ namespace sphere::core {
 /// For a statement whose physical SQL does not depend on parameter values
 /// (today: zero-parameter SELECTs), the route and rewrite results are fully
 /// deterministic given the sharding rule, so repeat executions can reuse them
-/// wholesale and jump straight to the executor. The epoch ties the plan to
-/// the rule it was computed under; SetRule bumps the epoch, which silently
-/// retires every routed plan still in flight.
+/// wholesale and jump straight to the executor. A plan is built only from a
+/// statement's second execution on (StatementPlan::NoteUnroutedExecution).
+/// The epoch ties the plan to the rule it was computed under; SetRule bumps
+/// the epoch, which silently retires every routed plan still in flight.
 struct RoutedPlan {
   uint64_t rule_epoch = 0;
   RouteResult route;
@@ -58,12 +59,21 @@ class StatementPlan {
   void StoreRouted(std::shared_ptr<const RoutedPlan> plan) const
       SPHERE_EXCLUDES(mu_);
 
+  /// Records an execution that found no routed plan and returns whether one
+  /// happened before. Routed plans are published on repeat: the first
+  /// execution routes in its statement arena and publishes nothing, so a
+  /// text seen once costs no heap build and no cache memory.
+  bool NoteUnroutedExecution() const {
+    return seen_.exchange(true, std::memory_order_relaxed);
+  }
+
  private:
   std::shared_ptr<const sql::Statement> stmt_;
   const int param_count_;
   const sql::DialectType dialect_;
   mutable Mutex mu_{LockRank::kCore, "core/statement_plan.routed"};
   mutable std::shared_ptr<const RoutedPlan> routed_ SPHERE_GUARDED_BY(mu_);
+  mutable std::atomic<bool> seen_{false};
 };
 
 /// The SQL parse/plan cache (the reproduction of the original system's SQL

@@ -50,7 +50,8 @@ class PipelineConfig {
   /// rewritten AST to each DML SQLUnit and skips ToSQL string-building; the
   /// execution engine dispatches those units through the node session's
   /// structured entry point, so neither side serializes or re-parses SQL
-  /// text. Off restores the text lanes end to end.
+  /// text. Off restores the DML text lanes (SELECT units always run their
+  /// AST).
   static bool dml_passthrough_enabled() {
     return dml_passthrough_.load(std::memory_order_relaxed);
   }

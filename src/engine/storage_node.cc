@@ -35,13 +35,10 @@ StorageNode::Session::~Session() {
 
 Result<std::shared_ptr<const sql::Statement>> StorageNode::ParseCached(
     std::string_view sql_text) {
-  {
-    MutexLock lk(stmt_cache_mu_);
-    auto it = stmt_cache_.find(sql_text);
-    if (it != stmt_cache_.end()) {
-      parse_cache_hits_.Increment();
-      return it->second;
-    }
+  if (std::optional<std::shared_ptr<const sql::Statement>> hit =
+          stmt_cache_.Get(sql_text)) {
+    parse_cache_hits_.Increment();
+    return *std::move(hit);
   }
   parse_cache_misses_.Increment();
   // The cached AST outlives every statement, so it must be heap-built even
@@ -50,9 +47,7 @@ Result<std::shared_ptr<const sql::Statement>> StorageNode::ParseCached(
   sql::Parser parser(dialect_);
   SPHERE_ASSIGN_OR_RETURN(sql::StatementPtr stmt, parser.Parse(sql_text));
   std::shared_ptr<const sql::Statement> shared(std::move(stmt));
-  MutexLock lk(stmt_cache_mu_);
-  if (stmt_cache_.size() >= 4096) stmt_cache_.clear();  // crude eviction
-  stmt_cache_.emplace(std::string(sql_text), shared);
+  stmt_cache_.Put(sql_text, shared);
   return shared;
 }
 

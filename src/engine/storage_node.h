@@ -4,9 +4,9 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_cache.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
 #include "common/result.h"
@@ -104,6 +104,10 @@ class StorageNode {
   int64_t parse_cache_hits() const { return parse_cache_hits_.value(); }
   int64_t parse_cache_misses() const { return parse_cache_misses_.value(); }
 
+  /// Distinct statement texts the parse cache keeps (least recently used
+  /// texts are evicted beyond this).
+  static constexpr size_t kParseCacheCapacity = 4096;
+
   /// Fixed extra latency per statement (microseconds). Benchmarks use this to
   /// model storage-stack effects the in-memory engine doesn't have: buffer
   /// pool misses on large tables, or Aurora's offloaded storage fleet.
@@ -119,10 +123,10 @@ class StorageNode {
   friend class Session;
 
   /// Server-side statement cache: SQL text -> parsed AST. Plays the role of
-  /// a prepared-statement cache; the middleware sends the same parameterized
-  /// texts over and over, so scatter queries don't pay a parse per unit.
+  /// a prepared-statement cache for the units that still ship text (DDL and
+  /// the DML text lanes).
   Result<std::shared_ptr<const sql::Statement>> ParseCached(
-      std::string_view sql_text) SPHERE_EXCLUDES(stmt_cache_mu_);
+      std::string_view sql_text);
 
   const std::string name_;
   const sql::Dialect& dialect_;
@@ -130,12 +134,12 @@ class StorageNode {
   storage::Database db_;
   // analyze-exempt(guarded-by): internally synchronized (own Mutex)
   storage::TransactionManager txn_manager_;
-  Mutex stmt_cache_mu_{LockRank::kEngine, "engine/storage_node.stmt_cache"};
-  // Transparent hashing: cache hits probe by string_view, so the hot path
-  // never materializes a temporary std::string key.
-  std::unordered_map<std::string, std::shared_ptr<const sql::Statement>,
-                     TransparentStringHash, std::equal_to<>>
-      stmt_cache_ SPHERE_GUARDED_BY(stmt_cache_mu_);
+  // Sharded-lock LRU: a full cache evicts one entry per miss, never the
+  // whole map under one lock. Transparent hashing: hits probe by
+  // string_view, so the hot path never materializes a std::string key.
+  ShardedLRUCache<std::string, std::shared_ptr<const sql::Statement>,
+                  TransparentStringHash>
+      stmt_cache_{kParseCacheCapacity};
   std::atomic<bool> fail_next_prepare_{false};
   std::atomic<bool> fail_next_commit_{false};
   // Thread-striped counters owned per instance (tests create many same-named

@@ -67,6 +67,23 @@ Status RemoteConnection::CallStatus(const std::string& request) {
   return r.ok() ? Status::OK() : r.status();
 }
 
+Result<engine::ExecResult> RemoteConnection::Respond(
+    Result<engine::ExecResult> result) {
+  if (!result.ok()) {
+    network_->Transfer(EncodedErrorSize(result.status()));
+    return result;
+  }
+  if (std::optional<size_t> size = TryEncodedExecResultSize(result.value())) {
+    network_->Transfer(*size);
+    return result;
+  }
+  // Unmaterialized cursor: only a real drain can price it — take the
+  // baseline encode/decode path for the response leg.
+  std::string response = EncodeExecResult(&result.value());
+  network_->Transfer(response.size());
+  return DecodeResponse(response);
+}
+
 Result<engine::ExecResult> RemoteConnection::Execute(
     std::string_view sql_text, const std::vector<Value>& params) {
   if (engine::PipelineConfig::pooled_batches_enabled()) {
@@ -75,45 +92,25 @@ Result<engine::ExecResult> RemoteConnection::Execute(
     // byte-identical transfer sizes the encoders would have produced, so
     // the latency model sees exactly the baseline's wire traffic.
     network_->Transfer(EncodedQuerySize(sql_text, params));
-    auto result = session_->Execute(sql_text, params);
-    if (!result.ok()) {
-      network_->Transfer(EncodedErrorSize(result.status()));
-      return result;
-    }
-    if (std::optional<size_t> size = TryEncodedExecResultSize(result.value())) {
-      network_->Transfer(*size);
-      return result;
-    }
-    // Unmaterialized cursor: only a real drain can price it — take the
-    // baseline encode/decode path for the response leg.
-    std::string response = EncodeExecResult(&result.value());
-    network_->Transfer(response.size());
-    return DecodeResponse(response);
+    return Respond(session_->Execute(sql_text, params));
   }
   return Call(EncodeQuery(sql_text, params));
 }
 
-Result<engine::ExecResult> RemoteConnection::ExecuteStructured(
-    const sql::Statement& stmt, const std::vector<Value>& params) {
-  // Request cost: a COM_STMT_EXECUTE-shaped packet — type byte, statement
-  // handle, and the bound parameter values. The statement text itself
-  // traveled once at prepare time, so it is not charged per execution.
-  // Size-only mirror of the packet fields below: type byte + u64 handle +
-  // u32 count + values. Building the buffer just to measure it would cost
-  // an allocation per DML.
-  size_t request_size = 1 + 8 + 4;
-  for (const auto& p : params) request_size += EncodedValueSize(p);
-  network_->Transfer(request_size);
-
-  auto result = session_->ExecuteStatement(stmt, params);
-
-  if (!result.ok()) {
-    network_->Transfer(EncodedErrorSize(result.status()));
-    return result;
+Result<engine::ExecResult> RemoteConnection::ExecuteStatement(
+    const sql::Statement& stmt, std::string_view sql_text,
+    const std::vector<Value>& params) {
+  size_t request_size;
+  if (!sql_text.empty()) {
+    request_size = EncodedQuerySize(sql_text, params);
+  } else {
+    // A COM_STMT_EXECUTE-shaped packet, sized without building it: type
+    // byte + u64 statement handle + u32 count + the bound values.
+    request_size = 1 + 8 + 4;
+    for (const auto& p : params) request_size += EncodedValueSize(p);
   }
-  // DML responses are fixed-size OK packets: type + affected + insert id.
-  network_->Transfer(1 + 8 + 8);
-  return result;
+  network_->Transfer(request_size);
+  return Respond(session_->ExecuteStatement(stmt, params));
 }
 
 Status RemoteConnection::Begin(const std::string& xid) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/storage_node.h"
@@ -34,15 +35,17 @@ class RemoteConnection {
   Result<engine::ExecResult> Execute(std::string_view sql_text,
                                      const std::vector<Value>& params = {});
 
-  /// Structured fast lane (DESIGN.md §10): executes an already-rewritten
-  /// statement on the node session directly — no text building, no request
-  /// string encode/decode, no server-side parse. The latency model still
-  /// charges a binary prepared-execute request (header + statement handle +
-  /// bound parameters) and the OK/error response, so the wire cost of the
-  /// paper's network model is preserved; only the per-execution CPU work
-  /// disappears. Intended for DML units (fixed-size OK responses).
-  Result<engine::ExecResult> ExecuteStructured(const sql::Statement& stmt,
-                                               const std::vector<Value>& params);
+  /// Structured unit execution (DESIGN.md §10): runs an already-rewritten
+  /// statement on the node session directly — no request encode/decode and
+  /// no node-side parse. The latency model charges the bytes Execute would:
+  /// the request is the query packet of `sql_text` when the unit carries a
+  /// text, else a binary prepared-execute (type byte + statement handle +
+  /// bound parameters; the text traveled once at prepare time); the response
+  /// is the encoded result set, OK or error packet. Message counts and bytes
+  /// therefore match the text path; only the per-execution CPU work goes.
+  Result<engine::ExecResult> ExecuteStatement(const sql::Statement& stmt,
+                                              std::string_view sql_text,
+                                              const std::vector<Value>& params);
 
   /// Transaction verbs (each one protocol round trip).
   Status Begin(const std::string& xid = "");
@@ -60,6 +63,8 @@ class RemoteConnection {
   /// Round trip: transfer request, serve, transfer response.
   Result<engine::ExecResult> Call(const std::string& request);
   Status CallStatus(const std::string& request);
+  /// Charges the response leg of an in-process execution and returns it.
+  Result<engine::ExecResult> Respond(Result<engine::ExecResult> result);
 
   engine::StorageNode* node_;
   const LatencyModel* network_;

@@ -106,23 +106,57 @@ TEST(RuntimeStatementCacheTest, ZeroParamSelectReusesRoutedPlan) {
   }
 
   const char* sql = "SELECT name FROM t_user ORDER BY uid";
+  ASSERT_TRUE(cluster.runtime()->Execute(sql).ok());
   auto r1 = cluster.runtime()->Execute(sql);
   ASSERT_TRUE(r1.ok());
 
   auto plan = cluster.runtime()->GetOrParse(sql).value();
   uint64_t epoch = cluster.runtime()->statement_cache().epoch();
   auto routed1 = plan->routed(epoch);
-  ASSERT_NE(routed1, nullptr);  // first execution published the routed plan
+  ASSERT_NE(routed1, nullptr);  // the repeat execution published the plan
 
   auto r2 = cluster.runtime()->Execute(sql);
   ASSERT_TRUE(r2.ok());
-  // Still the same routed plan object: route/rewrite ran once, not twice.
+  // Still the same routed plan object: later executions reuse it.
   EXPECT_EQ(plan->routed(epoch).get(), routed1.get());
 
   Row row;
   int rows = 0;
   while (r2.value().result_set->Next(&row)) ++rows;
   EXPECT_EQ(rows, 4);
+}
+
+TEST(RuntimeStatementCacheTest, ZeroParamSelectSeenOncePublishesNothing) {
+  TestCluster cluster(2);
+  ASSERT_TRUE(cluster.InstallModRule(4, false).ok());
+  ASSERT_TRUE(cluster.CreateUserOrderSchemas().ok());
+  for (int uid = 0; uid < 6; ++uid) {
+    ASSERT_TRUE(cluster.runtime()
+                    ->Execute("INSERT INTO t_user (uid, name, age, score) "
+                              "VALUES (" + std::to_string(uid) + ", 'u" +
+                              std::to_string(uid) + "', 20, 1.0)")
+                    .ok());
+  }
+
+  const char* sql = "SELECT uid, name FROM t_user WHERE uid > 1 ORDER BY uid";
+  auto first = cluster.runtime()->Execute(sql);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto plan = cluster.runtime()->GetOrParse(sql).value();
+  uint64_t epoch = cluster.runtime()->statement_cache().epoch();
+  // A text executed once routes in its statement arena: no routed plan.
+  EXPECT_EQ(plan->routed(epoch), nullptr);
+
+  auto second = cluster.runtime()->Execute(sql);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_NE(plan->routed(epoch), nullptr);
+  std::vector<Row> first_rows =
+      engine::DrainResultSet(first.value().result_set.get());
+  std::vector<Row> second_rows =
+      engine::DrainResultSet(second.value().result_set.get());
+  EXPECT_EQ(first.value().result_set->columns(),
+            second.value().result_set->columns());
+  EXPECT_EQ(first_rows, second_rows);
+  EXPECT_EQ(first_rows.size(), 4u);
 }
 
 TEST(RuntimeStatementCacheTest, SetRuleInvalidatesCacheAndRetiresPlans) {
@@ -138,6 +172,7 @@ TEST(RuntimeStatementCacheTest, SetRuleInvalidatesCacheAndRetiresPlans) {
 
   const char* sql = "SELECT name FROM t_user ORDER BY uid";
   ASSERT_TRUE(cluster.runtime()->Execute(sql).ok());
+  ASSERT_TRUE(cluster.runtime()->Execute(sql).ok());  // publishes on repeat
   auto old_plan = cluster.runtime()->GetOrParse(sql).value();
   uint64_t old_epoch = cluster.runtime()->statement_cache().epoch();
   ASSERT_NE(old_plan->routed(old_epoch), nullptr);

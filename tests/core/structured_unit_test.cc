@@ -1,0 +1,255 @@
+// Structured SELECT units (DESIGN.md §10): the AST a unit carries must run on
+// the node exactly like its rendered text — same labels, same rows, and the
+// same bytes and messages on the modeled wire.
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "core/rewrite.h"
+#include "core/route.h"
+#include "engine/pipeline.h"
+#include "sql/parser.h"
+#include "tests/core/test_cluster.h"
+
+namespace sphere::core {
+namespace {
+
+using testing::TestCluster;
+
+/// What one execution returned, in a comparable form.
+struct Outcome {
+  bool ok = false;
+  std::string error;
+  std::vector<std::string> labels;
+  std::vector<Row> rows;
+  int64_t affected = 0;
+};
+
+Outcome Capture(Result<engine::ExecResult> r) {
+  Outcome out;
+  out.ok = r.ok();
+  if (!r.ok()) {
+    out.error = r.status().ToString();
+    return out;
+  }
+  if (r->is_query) {
+    out.labels = r->result_set->columns();
+    out.rows = engine::DrainResultSet(r->result_set.get());
+  } else {
+    out.affected = r->affected_rows;
+  }
+  return out;
+}
+
+void ExpectSameOutcome(const Outcome& text, const Outcome& ast,
+                       const std::string& what) {
+  EXPECT_EQ(text.ok, ast.ok) << what;
+  EXPECT_EQ(text.error, ast.error) << what;
+  EXPECT_EQ(text.labels, ast.labels) << what;
+  EXPECT_EQ(text.rows, ast.rows) << what;
+  EXPECT_EQ(text.affected, ast.affected) << what;
+}
+
+/// 4 nodes, t_user and t_order MOD-sharded by uid into `shards` tables
+/// (binding group on), 24 users with 2 orders each.
+class StructuredUnitTest : public ::testing::Test {
+ protected:
+  void SetUpCluster(int shards) {
+    ASSERT_TRUE(cluster_.InstallModRule(shards, /*bind_user_order=*/true).ok());
+    ASSERT_TRUE(cluster_.CreateUserOrderSchemas().ok());
+    for (int uid = 0; uid < 24; ++uid) {
+      ASSERT_TRUE(cluster_.runtime()
+                      ->Execute("INSERT INTO t_user (uid, name, age, score) "
+                                "VALUES (?, ?, ?, ?)",
+                                {Value(uid), Value("u" + std::to_string(uid)),
+                                 Value(20 + uid % 5), Value(0.5 * uid)})
+                      .ok());
+      for (int k = 0; k < 2; ++k) {
+        ASSERT_TRUE(cluster_.runtime()
+                        ->Execute("INSERT INTO t_order (oid, uid, amount, month) "
+                                  "VALUES (?, ?, ?, ?)",
+                                  {Value(100 * uid + k), Value(uid),
+                                   Value(1.5 * (uid + k)), Value(1 + k)})
+                        .ok());
+      }
+    }
+  }
+
+  /// Routes and rewrites `sql_text` the way the runtime does.
+  RewriteResult Rewrite(const std::string& sql_text,
+                        const std::vector<Value>& params) {
+    auto stmt = sql::ParseSQL(sql_text);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    if (!stmt.ok()) return {};
+    auto route = cluster_.runtime()->PreviewRoute(**stmt, params);
+    EXPECT_TRUE(route.ok()) << route.status().ToString();
+    if (!route.ok()) return {};
+    auto rewritten = RewriteEngine(cluster_.runtime()->dialect())
+                         .Rewrite(**stmt, *route, params);
+    EXPECT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+    return rewritten.ok() ? std::move(rewritten).value() : RewriteResult{};
+  }
+
+  net::DataSource* SourceOf(const SQLUnit& unit) {
+    net::DataSource* ds =
+        cluster_.runtime()->data_sources()->Find(unit.data_source);
+    EXPECT_NE(ds, nullptr) << unit.data_source;
+    return ds;
+  }
+
+  TestCluster cluster_{4};
+};
+
+// ---------- Rewrite round trip: running the AST == running the text ----------
+
+TEST_F(StructuredUnitTest, EverySelectShapeRunsItsAstLikeItsText) {
+  SetUpCluster(8);
+  struct Case {
+    const char* sql;
+    std::vector<Value> params;
+  };
+  const std::vector<Case> cases = {
+      // AVG -> SUM/COUNT derivation.
+      {"SELECT AVG(score), COUNT(*) FROM t_user", {}},
+      // GROUP BY without ORDER BY: the rewriter injects ORDER BY age.
+      {"SELECT age, COUNT(*), MAX(score) FROM t_user GROUP BY age", {}},
+      // GROUP BY key outside the select list (derived column).
+      {"SELECT COUNT(*) FROM t_user GROUP BY age", {}},
+      // ORDER BY column outside the select list (derived column).
+      {"SELECT name FROM t_user ORDER BY score DESC", {}},
+      // LIMIT revision: each node returns offset+count rows.
+      {"SELECT uid, name FROM t_user ORDER BY uid LIMIT 3, 5", {}},
+      {"SELECT uid FROM t_user ORDER BY uid LIMIT 4", {}},
+      {"SELECT DISTINCT age FROM t_user", {}},
+      {"SELECT * FROM t_user WHERE uid > 3", {}},
+      // Binding join: u/o aliases, actual tables renamed per unit.
+      {"SELECT u.name, o.amount FROM t_user u JOIN t_order o "
+       "ON u.uid = o.uid WHERE u.uid IN (1, 2, 3) ORDER BY o.oid",
+       {}},
+      // BETWEEN / IN / OR predicates, literal and bound.
+      {"SELECT uid FROM t_user WHERE uid BETWEEN 2 AND 9 OR uid IN (11, 13) "
+       "OR age = 21",
+       {}},
+      {"SELECT uid, score FROM t_user WHERE uid IN (?, ?) OR age > ?",
+       {Value(5), Value(6), Value(23)}},
+      // Expression labels and a single-unit route.
+      {"SELECT uid + 1, UPPER(name) FROM t_user WHERE uid = 5", {}},
+      {"SELECT name FROM t_user WHERE uid = ?", {Value(7)}},
+  };
+  for (const Case& c : cases) {
+    RewriteResult rewritten = Rewrite(c.sql, c.params);
+    ASSERT_FALSE(rewritten.units.empty()) << c.sql;
+    for (const SQLUnit& unit : rewritten.units) {
+      ASSERT_NE(unit.stmt, nullptr) << c.sql;
+      EXPECT_EQ(unit.stmt->kind(), sql::StatementKind::kSelect);
+      EXPECT_FALSE(unit.sql.empty()) << c.sql;
+      engine::StorageNode* node = SourceOf(unit)->node();
+      auto session = node->OpenSession();
+      Outcome text = Capture(session->Execute(unit.sql, unit.params));
+      Outcome ast = Capture(session->ExecuteStatement(*unit.stmt, unit.params));
+      ASSERT_TRUE(text.ok) << unit.sql << ": " << text.error;
+      ExpectSameOutcome(text, ast, unit.sql);
+    }
+  }
+}
+
+TEST_F(StructuredUnitTest, SelectUnitsNeverTouchTheNodeParseCache) {
+  SetUpCluster(8);
+  int64_t before = 0;
+  for (int i = 0; i < cluster_.num_nodes(); ++i) {
+    engine::StorageNode* n = cluster_.node(i);
+    before += n->parse_cache_hits() + n->parse_cache_misses();
+  }
+  auto r = cluster_.runtime()->Execute(
+      "SELECT age, COUNT(*) FROM t_user WHERE uid > 2 GROUP BY age");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  auto point =
+      cluster_.runtime()->Execute("SELECT name FROM t_user WHERE uid = ?",
+                                  {Value(4)});
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  int64_t after = 0;
+  for (int i = 0; i < cluster_.num_nodes(); ++i) {
+    engine::StorageNode* n = cluster_.node(i);
+    after += n->parse_cache_hits() + n->parse_cache_misses();
+  }
+  EXPECT_EQ(after, before);
+}
+
+// ---------- Wire price: the AST path charges exactly the text path ----------
+
+/// Runs every unit of `rewritten` through both RemoteConnection entries on the
+/// same pooled connection and checks the modeled bytes, the message count and
+/// the returned labels/rows/errors match unit by unit.
+void ExpectWireIdentity(TestCluster* cluster, const RewriteResult& rewritten,
+                        size_t want_units, bool want_ok,
+                        const std::string& what) {
+  ASSERT_EQ(rewritten.units.size(), want_units) << what;
+  const net::LatencyModel& wire = cluster->runtime()->network();
+  for (bool pooled : {true, false}) {
+    engine::ScopedPooledBatches lane(pooled);
+    for (const SQLUnit& unit : rewritten.units) {
+      ASSERT_NE(unit.stmt, nullptr) << what;
+      net::DataSource* ds =
+          cluster->runtime()->data_sources()->Find(unit.data_source);
+      ASSERT_NE(ds, nullptr);
+      net::ConnectionPool::Lease lease = ds->pool().Acquire();
+
+      int64_t bytes0 = wire.bytes_transferred();
+      int64_t msgs0 = wire.messages();
+      Outcome text = Capture(lease->Execute(unit.sql, unit.params));
+      int64_t text_bytes = wire.bytes_transferred() - bytes0;
+      int64_t text_msgs = wire.messages() - msgs0;
+
+      bytes0 = wire.bytes_transferred();
+      msgs0 = wire.messages();
+      Outcome ast = Capture(
+          lease->ExecuteStatement(*unit.stmt, unit.sql, unit.params));
+      int64_t ast_bytes = wire.bytes_transferred() - bytes0;
+      int64_t ast_msgs = wire.messages() - msgs0;
+
+      EXPECT_EQ(text.ok, want_ok) << what << ": " << text.error;
+      EXPECT_EQ(ast_bytes, text_bytes) << what << " pooled=" << pooled;
+      EXPECT_EQ(ast_msgs, text_msgs) << what << " pooled=" << pooled;
+      EXPECT_EQ(ast_msgs, 2) << what;
+      ExpectSameOutcome(text, ast, what);
+    }
+  }
+}
+
+TEST_F(StructuredUnitTest, WirePriceSingleUnitSelect) {
+  SetUpCluster(40);
+  ExpectWireIdentity(
+      &cluster_,
+      Rewrite("SELECT uid, name, score FROM t_user WHERE uid = ?", {Value(9)}),
+      1, true, "single-unit select");
+}
+
+TEST_F(StructuredUnitTest, WirePriceFortyUnitScatter) {
+  SetUpCluster(40);
+  ExpectWireIdentity(
+      &cluster_,
+      Rewrite("SELECT uid, AVG(score) FROM t_user WHERE uid BETWEEN 1 AND 100 "
+              "GROUP BY uid ORDER BY uid LIMIT 2, 10",
+              {}),
+      40, true, "40-unit scatter");
+}
+
+TEST_F(StructuredUnitTest, WirePriceEmptyResult) {
+  SetUpCluster(40);
+  ExpectWireIdentity(&cluster_,
+                     Rewrite("SELECT name FROM t_user WHERE age > 1000", {}),
+                     40, true, "empty result");
+}
+
+TEST_F(StructuredUnitTest, WirePriceFailingStatement) {
+  SetUpCluster(40);
+  // Parses and routes, then fails on the node: the column does not exist.
+  ExpectWireIdentity(&cluster_,
+                     Rewrite("SELECT nope FROM t_user WHERE uid = 3", {}), 1,
+                     false, "failing statement");
+}
+
+}  // namespace
+}  // namespace sphere::core

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace sphere::engine {
 namespace {
 
@@ -25,6 +27,31 @@ class StorageNodeTest : public ::testing::Test {
 
   std::unique_ptr<StorageNode> node_;
 };
+
+TEST_F(StorageNodeTest, ParseCacheKeepsRecentTextPastCapacity) {
+  // More distinct texts than the cache holds, with one hot text re-run
+  // throughout: LRU eviction keeps the hot text resident, so each of its
+  // re-runs hits and only the distinct texts miss.
+  auto s = node_->OpenSession();
+  const std::string hot = "SELECT v FROM t WHERE id = 1";
+  ASSERT_TRUE(s->Execute(hot).ok());
+  const int64_t hits0 = node_->parse_cache_hits();
+  const int64_t misses0 = node_->parse_cache_misses();
+  const int distinct =
+      static_cast<int>(StorageNode::kParseCacheCapacity) + 1024;
+  int hot_runs = 0;
+  for (int i = 0; i < distinct; ++i) {
+    ASSERT_TRUE(
+        s->Execute("SELECT v FROM t WHERE id = " + std::to_string(1000 + i))
+            .ok());
+    if (i % 64 == 63) {
+      ASSERT_TRUE(s->Execute(hot).ok());
+      ++hot_runs;
+    }
+  }
+  EXPECT_EQ(node_->parse_cache_misses() - misses0, distinct);
+  EXPECT_EQ(node_->parse_cache_hits() - hits0, hot_runs);
+}
 
 TEST_F(StorageNodeTest, AutoCommitVisibleImmediately) {
   auto s = node_->OpenSession();

@@ -5,14 +5,16 @@
 #   1. tools/lint.py + tools/analyze.py       (project lint + lock analyzer)
 #   2. plain build + ctest                    (tier-1)
 #   3. bench_micro smoke                      (one short pass, JSON discarded)
-#   4. clang -Wthread-safety -Werror build    (skipped if clang++ missing)
-#   5. clang-tidy over src/                   (skipped if clang-tidy missing)
-#   6. ctest under SPHERE_DEADLOCK=ON         (runtime lockdep; any rank or
+#   4. paperbench Release smoke               (each workload's answer checks)
+#   5. clang -Wthread-safety -Werror build    (skipped if clang++ missing)
+#   6. clang-tidy over src/                   (skipped if clang-tidy missing)
+#   7. ctest under SPHERE_DEADLOCK=ON         (runtime lockdep; any rank or
 #      lock-order violation aborts the offending test)
-#   7. ctest under ASan, UBSan, TSan          (SPHERE_SANITIZE matrix)
+#   8. ctest under ASan, UBSan, TSan          (SPHERE_SANITIZE matrix)
 #
 # Usage: tools/check.sh [--fast]
-#   --fast   lint + plain build/test only (skip lockdep + sanitizer matrix)
+#   --fast   lint + plain build/test only (skip paperbench, lockdep and the
+#            sanitizer matrix)
 #
 # Each stage builds into its own tree under build-check/ so repeated runs are
 # incremental. Exits non-zero on the first failing stage.
@@ -44,14 +46,14 @@ run_ctest_tree() {
 
 mkdir -p "$ROOT/build-check"
 
-note "1/7 project lint + analyzer"
+note "1/8 project lint + analyzer"
 python3 "$ROOT/tools/lint.py" || fail "tools/lint.py"
 python3 "$ROOT/tools/analyze.py" || fail "tools/analyze.py"
 
-note "2/7 tier-1 build + tests"
+note "2/8 tier-1 build + tests"
 run_ctest_tree "$ROOT/build-check/plain"
 
-note "3/7 bench_micro smoke"
+note "3/8 bench_micro smoke"
 # One abbreviated pass over every benchmark so a bench that crashes or aborts
 # (e.g. a pipeline regression tripping its result check) fails the gate. The
 # JSON goes into build-check/ so the committed BENCH_micro.json is untouched;
@@ -67,7 +69,7 @@ if [ -x "$ROOT/build-check/plain/bench/bench_micro" ]; then
     "$ROOT/build-check/BENCH_micro.smoke.json" \
     || fail "bench_check.py: committed BENCH_micro.json regressed >2x"
 else
-  note "3/7 bench_micro smoke (skipped: binary not built)"
+  note "3/8 bench_micro smoke (skipped: binary not built)"
   skipped+=("bench-smoke")
 fi
 
@@ -79,7 +81,7 @@ if [ -f "$ROOT/BENCH_maxcon.json" ]; then
   python3 "$ROOT/tools/bench_check.py" --maxcon "$ROOT/BENCH_maxcon.json" \
     || fail "bench_check.py --maxcon: committed BENCH_maxcon.json fails the C10K gate"
 else
-  note "3/7 maxcon gate (skipped: BENCH_maxcon.json not committed)"
+  note "3/8 maxcon gate (skipped: BENCH_maxcon.json not committed)"
   skipped+=("maxcon-gate")
 fi
 if [ -x "$ROOT/build-check/plain/bench/bench_fig15_maxcon" ]; then
@@ -98,7 +100,7 @@ if [ -f "$ROOT/BENCH_rwmix.json" ]; then
   python3 "$ROOT/tools/bench_check.py" --rwmix "$ROOT/BENCH_rwmix.json" \
     || fail "bench_check.py --rwmix: committed BENCH_rwmix.json fails the snapshot-read gate"
 else
-  note "3/7 rwmix gate (skipped: BENCH_rwmix.json not committed)"
+  note "3/8 rwmix gate (skipped: BENCH_rwmix.json not committed)"
   skipped+=("rwmix-gate")
 fi
 if [ -x "$ROOT/build-check/plain/bench/bench_fig_rwmix" ]; then
@@ -108,18 +110,45 @@ if [ -x "$ROOT/build-check/plain/bench/bench_fig_rwmix" ]; then
     || fail "bench_fig_rwmix smoke (see build-check/rwmix-smoke.log)"
 fi
 
+if [ "$FAST" -eq 1 ]; then
+  note "4/8 paperbench Release smoke (skipped: --fast)"
+  skipped+=("paperbench")
+else
+  # End-to-end transparency check: run.py builds the paper-scenario benchmark
+  # in Release under .bench_build/ and every workload checks its answers
+  # (exact rows, sums, order). Exit 3 means too few samples in the short
+  # window: reported as skipped, never as passed.
+  note "4/8 paperbench Release smoke"
+  for w in read_only_cpu write_only_cpu read_write_proxy_lan; do
+    log="$ROOT/build-check/paperbench-$w.log"
+    python3 "$ROOT/paperbench/run.py" --workload "$w" --seed 1 --seconds 5 \
+      --trace 0 > "$log" 2>&1
+    rc=$?
+    if grep -q '"correct": false' "$log"; then
+      fail "paperbench $w: wrong answer (see $log)"
+    elif [ "$rc" -eq 3 ]; then
+      echo "paperbench $w: too few samples (exit 3), skipped"
+      skipped+=("paperbench-$w")
+    elif [ "$rc" -ne 0 ]; then
+      fail "paperbench $w: exit $rc (see $log)"
+    else
+      echo "OK: paperbench $w"
+    fi
+  done
+fi
+
 if command -v clang++ >/dev/null 2>&1; then
-  note "4/7 clang -Wthread-safety -Werror"
+  note "5/8 clang -Wthread-safety -Werror"
   run_ctest_tree "$ROOT/build-check/thread-safety" \
     -DCMAKE_CXX_COMPILER=clang++ \
     -DCMAKE_CXX_FLAGS="-Wthread-safety -Werror=thread-safety"
 else
-  note "4/7 clang -Wthread-safety (skipped: clang++ not installed)"
+  note "5/8 clang -Wthread-safety (skipped: clang++ not installed)"
   skipped+=("thread-safety")
 fi
 
 if command -v clang-tidy >/dev/null 2>&1; then
-  note "5/7 clang-tidy"
+  note "6/8 clang-tidy"
   find "$ROOT/src" -name '*.cc' -print0 \
     | xargs -0 -P "$JOBS" -n 1 clang-tidy -p "$ROOT/build-check/plain" \
     || fail "clang-tidy"
@@ -134,17 +163,17 @@ if command -v clang-tidy >/dev/null 2>&1; then
       || fail "clang-tidy $hdr"
   done
 else
-  note "5/7 clang-tidy (skipped: clang-tidy not installed)"
+  note "6/8 clang-tidy (skipped: clang-tidy not installed)"
   skipped+=("clang-tidy")
 fi
 
 if [ "$FAST" -eq 1 ]; then
-  note "6/7 lockdep (skipped: --fast)"
+  note "7/8 lockdep (skipped: --fast)"
   skipped+=("lockdep")
 else
   # The default violation handler aborts, so a rank inversion or lock-order
   # cycle anywhere in the suite turns its test red here.
-  note "6/7 lockdep (SPHERE_DEADLOCK=ON)"
+  note "7/8 lockdep (SPHERE_DEADLOCK=ON)"
   run_ctest_tree "$ROOT/build-check/lockdep" -DSPHERE_DEADLOCK=ON
   # Focused re-run of the proxy front-end stress tests: the reactor/worker
   # hand-off is the newest cross-thread surface, so give the lock-order
@@ -161,11 +190,11 @@ else
 fi
 
 if [ "$FAST" -eq 1 ]; then
-  note "7/7 sanitizer matrix (skipped: --fast)"
+  note "8/8 sanitizer matrix (skipped: --fast)"
   skipped+=("sanitizers")
 else
   for san in address undefined thread; do
-    note "7/7 sanitizer: $san"
+    note "8/8 sanitizer: $san"
     run_ctest_tree "$ROOT/build-check/$san" -DSPHERE_SANITIZE="$san"
   done
   # Same focused proxy stress pass under TSan, where a missing happens-before
