@@ -8,6 +8,7 @@
 
 #include "bench/bench_common.h"
 #include "benchlib/sysbench.h"
+#include "common/table_printer.h"
 
 using namespace sphere;           // NOLINT
 using namespace sphere::benchlib; // NOLINT

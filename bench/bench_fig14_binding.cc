@@ -7,6 +7,7 @@
 
 #include "bench/bench_common.h"
 #include "common/strings.h"
+#include "common/table_printer.h"
 
 using namespace sphere;           // NOLINT
 using namespace sphere::benchlib; // NOLINT

@@ -31,6 +31,7 @@
 #include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/rng.h"
+#include "common/table_printer.h"
 #include "engine/pipeline.h"
 
 using namespace sphere;            // NOLINT

@@ -11,6 +11,7 @@
 #include "bench/bench_common.h"
 #include "benchlib/tpcc.h"
 #include "common/clock.h"
+#include "common/table_printer.h"
 
 using namespace sphere;           // NOLINT
 using namespace sphere::benchlib; // NOLINT

@@ -47,6 +47,7 @@
 #include "common/histogram.h"
 #include "common/mutex.h"
 #include "common/rng.h"
+#include "common/table_printer.h"
 #include "engine/pipeline.h"
 #include "engine/storage_node.h"
 #include "storage/table.h"

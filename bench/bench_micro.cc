@@ -236,12 +236,9 @@ void BM_StatementCacheHit(benchmark::State& state) {
 BENCHMARK(BM_StatementCacheHit);
 
 /// Scatter SELECT across all 4 data sources: executor dispatch on the shared
-/// scheduler pool (Arg(1), the default) vs the legacy spawn-per-statement
-/// baseline (Arg(0)).
+/// scheduler pool, with no thread created per statement.
 void BM_ExecutorDispatch(benchmark::State& state) {
   MiniCluster cluster(/*cache_capacity=*/2048);
-  bool pooled = state.range(0) != 0;
-  cluster.runtime->set_executor_pool(pooled ? SharedThreadPool() : nullptr);
   const char* scatter = "SELECT COUNT(*) FROM sbtest";
   auto warm = cluster.runtime->Execute(scatter);
   if (!warm.ok()) std::abort();
@@ -250,10 +247,9 @@ void BM_ExecutorDispatch(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(pooled ? "shared scheduler pool (no thread creation)"
-                        : "baseline: spawn+join threads per statement");
+  state.SetLabel("shared scheduler pool (no thread creation)");
 }
-BENCHMARK(BM_ExecutorDispatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_ExecutorDispatch);
 
 // ---------- Streaming scan-to-merge pipeline ----------
 
@@ -414,17 +410,12 @@ BENCHMARK(BM_PaginatedSelect)->Arg(0)->Arg(1);
 
 // ---------- Write-path fast lane (DESIGN.md §10) ----------
 
-/// Parameterized single-row INSERT through the full sharding pipeline.
-/// Arg(0): legacy remote-text lane — the split inlines literals, so every
-/// iteration renders a unique physical text and the node pays a fresh parse.
-/// Arg(1): structured pass-through — the rewritten AST and the per-unit
-/// parameter slice ship in-process; no text is rendered, the node never
-/// parses. Inserted rows are swept out of band every 1024 iterations.
+/// Parameterized single-row INSERT through the full sharding pipeline: the
+/// rewritten AST and the per-unit parameter slice ship in-process; no text is
+/// rendered and the node never parses (the label reports node parses, which
+/// must stay 0). Inserted rows are swept out of band every 1024 iterations.
 void BM_DmlPassThroughVsReparse(benchmark::State& state) {
   MiniCluster cluster(/*cache_capacity=*/2048);
-  bool structured = state.range(0) != 0;
-  engine::ScopedDmlPassThrough passthrough(structured);
-  engine::ScopedDmlParamBinding binding(structured);
   int64_t id = 1000;
   for (auto _ : state) {
     auto r = cluster.runtime->Execute(
@@ -442,13 +433,10 @@ void BM_DmlPassThroughVsReparse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   int64_t misses = 0;
   for (const auto& n : cluster.nodes) misses += n->parse_cache_misses();
-  state.SetLabel(structured
-                     ? "structured: AST pass-through, node parses=" +
-                           std::to_string(misses)
-                     : "legacy: inline + ToSQL + node parses=" +
-                           std::to_string(misses));
+  state.SetLabel("structured: AST pass-through, node parses=" +
+                 std::to_string(misses));
 }
-BENCHMARK(BM_DmlPassThroughVsReparse)->Arg(0)->Arg(1);
+BENCHMARK(BM_DmlPassThroughVsReparse);
 
 /// Point UPDATE over 100k rows, WHERE on column k. Arg(1): k carries a
 /// secondary index, so the point-DML path resolves the row set in O(log n)
@@ -477,40 +465,6 @@ void BM_PointUpdateIndexVsScan(benchmark::State& state) {
 }
 BENCHMARK(BM_PointUpdateIndexVsScan)->Arg(0)->Arg(1);
 
-/// Prepared INSERT (+ cleanup DELETE) on the text lanes. Arg(1): cached-text
-/// — parameter binding keeps `?` in the emitted text, so every node sees the
-/// same string and hits its statement cache after the first parse. Arg(0):
-/// legacy inlining — each iteration's values make a unique text, a guaranteed
-/// parse-cache miss per statement.
-void BM_PreparedInsertCacheHit(benchmark::State& state) {
-  MiniCluster cluster(/*cache_capacity=*/2048);
-  bool cached_text = state.range(0) != 0;
-  engine::ScopedDmlPassThrough no_passthrough(false);
-  engine::ScopedDmlParamBinding binding(cached_text);
-  int64_t id = 1000;
-  for (auto _ : state) {
-    auto ins = cluster.runtime->Execute(
-        "INSERT INTO sbtest (id, k, c) VALUES (?, ?, 'p')",
-        {Value(id), Value(id)});
-    if (!ins.ok()) std::abort();
-    auto del = cluster.runtime->Execute("DELETE FROM sbtest WHERE id = ?",
-                                        {Value(id)});
-    if (!del.ok()) std::abort();
-    ++id;
-  }
-  state.SetItemsProcessed(state.iterations());
-  int64_t hits = 0, misses = 0;
-  for (const auto& n : cluster.nodes) {
-    hits += n->parse_cache_hits();
-    misses += n->parse_cache_misses();
-  }
-  state.SetLabel((cached_text ? std::string("cached text: ")
-                              : std::string("inlined text: ")) +
-                 "node cache hits=" + std::to_string(hits) +
-                 " misses=" + std::to_string(misses));
-}
-BENCHMARK(BM_PreparedInsertCacheHit)->Arg(0)->Arg(1);
-
 // ---------- Memory discipline (DESIGN.md §12) ----------
 
 /// Sets state.counters["allocs_per_query"] from a before/after reading of the
@@ -529,14 +483,9 @@ class AllocMeter {
   uint64_t start_ = 0;
 };
 
-/// Steady-state point SELECT on the cache-hit path. Arg(1): arena statements
-/// + pooled batches (the default); Arg(0): both knobs off — the malloc
-/// baseline. allocs_per_query is the acceptance metric: near zero with the
-/// knobs on.
+/// Steady-state point SELECT on the cache-hit path, under statement arenas
+/// and pooled batches. allocs_per_query is the acceptance metric: near zero.
 void BM_PointSelectAllocs(benchmark::State& state) {
-  bool disciplined = state.range(0) != 0;
-  engine::ScopedArenaStatements arena(disciplined);
-  engine::ScopedPooledBatches pooled(disciplined);
   MiniCluster cluster(/*cache_capacity=*/2048);
   for (int i = 0; i < 64; ++i) {  // warm the caches, arena chunks and pools
     if (!cluster.runtime->Execute(kPointSQL).ok()) std::abort();
@@ -556,18 +505,15 @@ void BM_PointSelectAllocs(benchmark::State& state) {
   }
   meter.Stop(state);
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(disciplined ? "arena + pooled rows" : "malloc baseline");
+  state.SetLabel("arena + pooled rows");
 }
-BENCHMARK(BM_PointSelectAllocs)->Arg(0)->Arg(1);
+BENCHMARK(BM_PointSelectAllocs);
 
 /// Fan-out SELECT drained through the merge stack with the drained batch
 /// recycled after consumption — the steady-state drain loop an adaptor runs.
-/// Per-row string copies dominate the baseline; pooled rows reuse their
-/// string capacity in place.
+/// Pooled rows reuse their string capacity in place, so per-row string
+/// copies do not allocate.
 void BM_FanoutDrainAllocs(benchmark::State& state) {
-  bool disciplined = state.range(0) != 0;
-  engine::ScopedArenaStatements arena(disciplined);
-  engine::ScopedPooledBatches pooled(disciplined);
   MiniCluster cluster(/*cache_capacity=*/2048);
   LoadSbtest(&cluster, 10000);
   int64_t drained = 0;
@@ -578,7 +524,7 @@ void BM_FanoutDrainAllocs(benchmark::State& state) {
     drained += static_cast<int64_t>(rows.size());
     benchmark::DoNotOptimize(rows);
     // Close the recycle loop the way an adaptor does: consumed rows return
-    // to the pool (no-op when pooling is off).
+    // to the pool.
     engine::RecycleRows(std::move(rows));
   };
   for (int i = 0; i < 4; ++i) run_once();  // warm pools to steady state
@@ -587,20 +533,20 @@ void BM_FanoutDrainAllocs(benchmark::State& state) {
   for (auto _ : state) run_once();
   meter.Stop(state);
   state.SetItemsProcessed(drained);
-  state.SetLabel(disciplined ? "arena + pooled rows" : "malloc baseline");
+  state.SetLabel("arena + pooled rows");
 }
-BENCHMARK(BM_FanoutDrainAllocs)->Arg(0)->Arg(1);
+BENCHMARK(BM_FanoutDrainAllocs);
 
 /// Observability overhead on the hottest committed path (cache-hit point
-/// SELECT): Arg(0) runs with the observability knob off (statement scopes and
+/// SELECT): Arg(0) runs with sampling interval 0 (statement scopes and
 /// ScopedSpans must compile down to a thread-local read), Arg(1) with the
 /// default sampling interval. The bench_check.py gate holds Arg(1) within 5%
 /// of Arg(0).
 void BM_ObservabilityOverhead(benchmark::State& state) {
   bool observability = state.range(0) != 0;
-  engine::ScopedObservability knob(observability);
   engine::ScopedTraceSampling sampling(
-      engine::PipelineConfig::kDefaultTraceSampleInterval);
+      observability ? engine::PipelineConfig::kDefaultTraceSampleInterval
+                    : 0);
   MiniCluster cluster(/*cache_capacity=*/2048);
   auto warm = cluster.runtime->Execute(kPointSQL);
   if (!warm.ok()) std::abort();
@@ -614,7 +560,7 @@ void BM_ObservabilityOverhead(benchmark::State& state) {
                            std::to_string(
                                engine::PipelineConfig::kDefaultTraceSampleInterval) +
                            ")"
-                     : "observability off: thread-local read only");
+                     : "sampling interval 0: thread-local read only");
 }
 BENCHMARK(BM_ObservabilityOverhead)->Arg(0)->Arg(1);
 

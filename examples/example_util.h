@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "adaptor/jdbc.h"
 #include "common/strings.h"
+#include "common/table_printer.h"
 
 namespace sphere::examples {
 
@@ -30,24 +32,25 @@ inline void Exec(adaptor::ShardingConnection* conn, const std::string& sql) {
   Check(r.status(), sql.c_str());
 }
 
-/// Runs a query and prints it as an aligned table.
+/// Runs a query and prints it as an aligned table; columns widen to fit
+/// their longest cell.
 inline void PrintQuery(adaptor::ShardingConnection* conn,
                        const std::string& sql) {
   std::printf("sql> %s\n", sql.c_str());
   auto rs = Unwrap(conn->ExecuteQuery(sql), sql.c_str());
   const auto& cols = rs.columns();
-  for (const auto& c : cols) std::printf("%-18s", c.c_str());
-  std::printf("\n");
-  for (size_t i = 0; i < cols.size(); ++i) std::printf("%-18s", "------");
-  std::printf("\n");
+  TablePrinter table(cols);
   int rows = 0;
   while (rs.Next()) {
+    std::vector<std::string> cells;
+    cells.reserve(cols.size());
     for (size_t i = 0; i < cols.size(); ++i) {
-      std::printf("%-18s", rs.Get(static_cast<int>(i)).ToString().c_str());
+      cells.push_back(rs.Get(static_cast<int>(i)).ToString());
     }
-    std::printf("\n");
+    table.AddRow(std::move(cells));
     ++rows;
   }
+  table.Print();
   std::printf("(%d rows)\n\n", rows);
 }
 

@@ -345,9 +345,7 @@ void ShardingProxy::WorkerLoop() {
 
 void ShardingProxy::ServeSession(Connection* session) {
   const int64_t wait_us = NowMicros() - session->enqueue_us_;
-  if (engine::PipelineConfig::observability_enabled()) {
-    queue_wait_hist_->Record(wait_us);
-  }
+  queue_wait_hist_->Record(wait_us);
   trace::Trace* trace = session->trace_;
   trace::Span* queued_span = session->queued_span_;
   trace::Span* parent = queued_span != nullptr ? queued_span->parent : nullptr;
@@ -367,7 +365,7 @@ void ShardingProxy::ServeSession(Connection* session) {
         session,
         BuildResponse(
             Status::Unavailable("proxy shed statement: queue deadline exceeded"),
-            /*mirrored=*/false, /*framed=*/true),
+            /*framed=*/true),
         wait_us);
     return;
   }
@@ -386,9 +384,7 @@ void ShardingProxy::ServeSession(Connection* session) {
   } else {
     result = ExecuteOnBackend(session, session->pending_);
   }
-  const bool mirrored = engine::PipelineConfig::pooled_batches_enabled();
-  CompleteStatement(session,
-                    BuildResponse(std::move(result), mirrored, /*framed=*/true),
+  CompleteStatement(session, BuildResponse(std::move(result), /*framed=*/true),
                     wait_us);
 }
 
@@ -456,21 +452,19 @@ Result<engine::ExecResult> ShardingProxy::ExecuteOnBackend(
 }
 
 ShardingProxy::WireResponse ShardingProxy::BuildResponse(
-    Result<engine::ExecResult> result, bool mirrored, bool framed) {
+    Result<engine::ExecResult> result, bool framed) {
   const size_t frame_overhead = framed ? net::kFrameHeaderBytes : 0;
   if (!result.ok()) {
     return WireResponse{
         result.status(),
         net::EncodedErrorSize(result.status()) + frame_overhead};
   }
-  if (mirrored) {
-    // Pass-through: skip the encode/decode round-trip but charge the
-    // byte-identical packet size (falls through for streaming results whose
-    // size isn't known without draining).
-    if (std::optional<size_t> size =
-            net::TryEncodedExecResultSize(result.value())) {
-      return WireResponse{std::move(result), *size + frame_overhead};
-    }
+  // Skip the encode/decode round-trip but charge the byte-identical packet
+  // size (falls through for streaming results whose size isn't known
+  // without draining).
+  if (std::optional<size_t> size =
+          net::TryEncodedExecResultSize(result.value())) {
+    return WireResponse{std::move(result), *size + frame_overhead};
   }
   std::string encoded = net::EncodeExecResult(&result.value());
   return WireResponse{net::DecodeResponse(encoded),
@@ -541,23 +535,14 @@ Result<engine::ExecResult> ShardingProxy::Connection::ExecuteMultiplexed(
 
 Result<engine::ExecResult> ShardingProxy::Connection::ExecuteBlocking(
     std::string_view sql_text, const std::vector<Value>& params) {
-  const bool mirrored = engine::PipelineConfig::pooled_batches_enabled();
+  // Skip the request encode/decode round-trip but charge the byte-identical
+  // packet size on the client network, so the wire cost model sees exactly
+  // the encoded packet.
+  proxy_->client_network_->Transfer(net::EncodedQuerySize(sql_text, params));
   net::DecodedRequest request;
-  if (mirrored) {
-    // Pass-through lane: skip the request encode/decode round-trip but
-    // charge the byte-identical packet size on the client network, so the
-    // proxy's wire cost model matches the baseline exactly.
-    proxy_->client_network_->Transfer(net::EncodedQuerySize(sql_text, params));
-    request.type = net::PacketType::kQuery;
-    request.sql = std::string(sql_text);
-    request.params = params;
-  } else {
-    std::string encoded = net::EncodeQuery(sql_text, params);
-    proxy_->client_network_->Transfer(encoded.size());
-    auto decoded = net::DecodeRequest(encoded);
-    if (!decoded.ok()) return decoded.status();
-    request = std::move(*decoded);
-  }
+  request.type = net::PacketType::kQuery;
+  request.sql = std::string(sql_text);
+  request.params = params;
   proxy_->CountStatement();
   if (Status front = proxy_->FrontDoorAdmit(); !front.ok()) {
     proxy_->CountStatementRejected();
@@ -567,7 +552,7 @@ Result<engine::ExecResult> ShardingProxy::Connection::ExecuteBlocking(
   auto result = proxy_->ExecuteOnBackend(this, request);
   // Proxy -> client: result (or error) packet crosses back.
   WireResponse response =
-      proxy_->BuildResponse(std::move(result), mirrored, /*framed=*/false);
+      proxy_->BuildResponse(std::move(result), /*framed=*/false);
   proxy_->client_network_->Transfer(response.bytes);
   return std::move(response.out);
 }

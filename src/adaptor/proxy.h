@@ -249,12 +249,11 @@ class ShardingProxy {
   /// gauge, backend call, breaker feedback.
   Result<engine::ExecResult> ExecuteOnBackend(Connection* session,
                                               const net::DecodedRequest& req);
-  /// Shared response building, parameterized by wire-cost strategy:
-  /// `mirrored` charges encoder-size mirrors without round-tripping bytes
-  /// (the pooled pass-through lane), otherwise the response is really
-  /// encoded and decoded. `framed` adds the frame header to the byte count.
-  WireResponse BuildResponse(Result<engine::ExecResult> result, bool mirrored,
-                             bool framed);
+  /// Shared response building: charges the encoder's byte-identical packet
+  /// size without round-tripping bytes, and really encodes and decodes only
+  /// results whose size is unknown without a drain (unmaterialized
+  /// cursors). `framed` adds the frame header to the byte count.
+  WireResponse BuildResponse(Result<engine::ExecResult> result, bool framed);
 
   /// Takes a worker-capacity slot; false when capacity is unlimited (or was
   /// zeroed mid-wait), meaning no slot is held and release must not

@@ -208,7 +208,7 @@ class RaftDb::Session : public SqlSession {
         std::vector<sql::ExprPtr> row;
         row.reserve(ins.rows[r].size());
         for (const auto& e : ins.rows[r]) {
-          row.push_back(sql::InlineParamsExpr(e.get(), params));
+          row.push_back(sql::InlineParameters(e.get(), params));
         }
         clone->rows.push_back(std::move(row));
       }

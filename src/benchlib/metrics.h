@@ -44,10 +44,6 @@ BenchResult RunBenchmark(baselines::SqlSystem* system,
                          const std::string& scenario,
                          const BenchOptions& options, const BenchOp& op);
 
-/// Fixed-width table printer; the implementation now lives in
-/// common/table_printer.h so trace/DistSQL rendering can share it.
-using sphere::TablePrinter;
-
 /// Appends the standard (system, tps, avg, p90, p99, err) row.
 void AddResultRow(TablePrinter* table, const BenchResult& r);
 

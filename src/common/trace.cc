@@ -203,8 +203,7 @@ void NotifySink(const Trace& trace) {
   if (sink != nullptr) sink->OnTraceComplete(trace);
 }
 
-StatementTraceScope::StatementTraceScope(bool enabled,
-                                         uint32_t sample_interval) {
+StatementTraceScope::StatementTraceScope(uint32_t sample_interval) {
   Trace* cur = g_current_trace;
   if (cur != nullptr) {
     // Joining a forced (TRACE ...) or outer statement trace.
@@ -218,7 +217,7 @@ StatementTraceScope::StatementTraceScope(bool enabled,
     joined_ = true;
     return;
   }
-  if (!enabled || !SamplerFires(sample_interval)) return;
+  if (!SamplerFires(sample_interval)) return;
   if (g_spare_trace != nullptr) {
     owned_ = std::move(g_spare_trace);
     owned_->ResetForReuse("statement");

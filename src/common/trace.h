@@ -149,7 +149,7 @@ void NotifySink(const Trace& trace);
 /// `sample_interval` 0 never samples, 1 samples everything, N every Nth.
 class StatementTraceScope {
  public:
-  StatementTraceScope(bool enabled, uint32_t sample_interval);
+  explicit StatementTraceScope(uint32_t sample_interval);
   ~StatementTraceScope();
 
   StatementTraceScope(const StatementTraceScope&) = delete;

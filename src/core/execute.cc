@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <thread>
 
 #include "common/arena.h"
 #include "common/strings.h"
@@ -42,17 +41,12 @@ struct Group {
   ArenaVector<size_t> unit_indices;
 };
 
-/// The one dispatch rule (DESIGN.md §10): SELECT units, and units that carry
-/// an AST but no text, run their AST on the node session; everything else
-/// ships its text for the node to parse (DDL, and DML on the text lanes).
+/// The one dispatch rule (DESIGN.md §10): every unit runs its AST on the
+/// node session, so no node parses SQL text; the text, when the unit has
+/// one, only prices the request on the modeled wire.
 Result<engine::ExecResult> DispatchUnit(net::RemoteConnection* conn,
                                         const SQLUnit& unit) {
-  if (unit.stmt != nullptr &&
-      (unit.sql.empty() ||
-       unit.stmt->kind() == sql::StatementKind::kSelect)) {
-    return conn->ExecuteStatement(*unit.stmt, unit.sql, unit.params);
-  }
-  return conn->Execute(unit.sql, unit.params);
+  return conn->ExecuteStatement(*unit.stmt, unit.sql, unit.params);
 }
 
 /// Executes a list of units serially on one connection. `results` points at
@@ -241,7 +235,7 @@ Result<ExecutionOutcome> ExecutionEngine::Execute(
   if (tasks.size() == 1) {
     RunSerial(tasks[0].conn, units, tasks[0].indices, observer, results.data(),
               tr, parent);
-  } else if (pool_ != nullptr) {
+  } else {
     // The data sources execute their SQLs in parallel (paper Fig. 8), on the
     // persistent scheduler: every slice but the first goes to the pool, the
     // caller drains its own slice inline (so progress is guaranteed even on a
@@ -259,22 +253,6 @@ Result<ExecutionOutcome> ExecutionEngine::Execute(
     RunSerial(tasks[0].conn, units, tasks[0].indices, observer, results.data(),
               tr, parent);
     latch.Wait();
-  } else {
-    // Benchmark baseline (set_thread_pool(nullptr)): the pre-scheduler
-    // spawn-per-statement dispatch.
-    // analyze-exempt(raw-thread): this IS the measured ablation — the
-    // spawn-per-statement baseline the shared pool is compared against
-    std::vector<std::thread> threads;
-    threads.reserve(tasks.size() - 1);
-    for (size_t i = 1; i < tasks.size(); ++i) {
-      threads.emplace_back([&, i] {
-        RunSerial(tasks[i].conn, units, tasks[i].indices, observer,
-                  results.data(), tr, parent);
-      });
-    }
-    RunSerial(tasks[0].conn, units, tasks[0].indices, observer, results.data(),
-              tr, parent);
-    for (auto& t : threads) t.join();
   }
 
   ExecutionOutcome outcome;

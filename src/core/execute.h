@@ -84,24 +84,26 @@ struct ExecutionOutcome {
 /// Execution phase: groups and the connections inside a group run in
 /// parallel, each connection draining its assigned SQL list serially.
 ///
-/// Parallel slices are dispatched to a persistent scheduler (the process-wide
-/// SharedThreadPool by default): the caller submits every slice but its own,
-/// executes its own slice inline, and joins on a latch — so the steady-state
-/// path constructs zero threads per statement. The pool is injectable for
-/// tests and sizing experiments; setting it to nullptr falls back to
-/// spawn-per-statement, kept only as the benchmark baseline.
+/// Parallel slices are dispatched to a persistent scheduler: the caller
+/// submits every slice but its own, executes its own slice inline, and joins
+/// on a latch — so no path constructs a thread per statement. The pool is
+/// injectable at construction for tests and sizing experiments; nullptr
+/// means the process-wide SharedThreadPool, so the pool is never null.
+///
+/// Every unit runs the same way: its AST goes to the node session through
+/// RemoteConnection::ExecuteStatement, with its text (when present) pricing
+/// the request on the modeled wire (DESIGN.md §10).
 class ExecutionEngine {
  public:
   ExecutionEngine(DataSourceRegistry* registry, int max_connections_per_query,
-                  ThreadPool* pool = SharedThreadPool())
-      : registry_(registry), max_con_(max_connections_per_query), pool_(pool) {}
+                  ThreadPool* pool = nullptr)
+      : registry_(registry),
+        max_con_(max_connections_per_query),
+        pool_(pool != nullptr ? pool : SharedThreadPool()) {}
 
   void set_max_connections_per_query(int n) { max_con_ = n < 1 ? 1 : n; }
   int max_connections_per_query() const { return max_con_; }
 
-  /// Replaces the scheduler pool. nullptr selects the legacy thread-spawn
-  /// dispatch (benchmark baseline only — it creates threads per statement).
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
   /// Executes every unit; `txn_source` may be nullptr (auto-commit) and

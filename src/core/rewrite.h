@@ -52,28 +52,27 @@ struct MergeContext {
 
 /// One executable SQL destined for one data source (DESIGN.md §10).
 ///
-/// `stmt` is the unit's rewritten AST and `sql` its rendered text. Which of
-/// the two the node runs follows one rule (ExecutionEngine): a SELECT unit,
-/// or any unit with an AST but no text, runs its AST on the node session
-/// with no node-side parse; every other unit ships its text.
-///  - SELECT units carry both. The text prices the request on the modeled
-///    wire and is what PREVIEW/TRACE display; the AST is what runs.
-///  - Structured DML units leave `sql` empty. Anything that needs a display
-///    text renders it on demand via RenderSQL.
-///  - DML on the text lanes (`dml_passthrough` off) and DDL ship text; a DML
-///    unit's AST then only serves observers (BASE undo images).
+/// Invariant: every unit carries its AST. `stmt` is the unit's rewritten
+/// AST and is what the node runs (ExecutionEngine has one dispatch rule), so
+/// no node parses SQL text. `sql` is the rendered text, kept only where it
+/// prices the request on the modeled wire:
+///  - SELECT and DDL units carry both; the text is also what PREVIEW/TRACE
+///    display.
+///  - DML units leave `sql` empty and ship as a prepared execute. Anything
+///    that needs a display text renders it on demand via RenderSQL.
 struct SQLUnit {
   std::string data_source;
   std::string sql;
   std::vector<Value> params;
   /// The per-unit rewritten AST (actual table names applied, placeholders
-  /// renumbered to `params`). Shared: interceptors copy units freely.
+  /// renumbered to `params`). Never null. Shared: interceptors copy units
+  /// freely.
   std::shared_ptr<const sql::Statement> stmt;
 
-  /// The unit's SQL text, built from `stmt` when the structured lane skipped
+  /// The unit's SQL text, built from `stmt` when the rewriter skipped
   /// string-building. For display (PREVIEW, logs) — not the execution path.
   std::string RenderSQL(const sql::Dialect& dialect) const {
-    if (!sql.empty() || stmt == nullptr) return sql;
+    if (!sql.empty()) return sql;
     return stmt->ToSQL(dialect);
   }
 };

@@ -56,24 +56,18 @@ Result<sql::StatementPtr> ShardingRuntime::ApplyKeyGeneration(
       return sql::StatementPtr(nullptr);  // caller supplied the key
     }
   }
-  // Append the generated-key column with fresh keys on every row. Behind
-  // parameter binding the keys ride as bound parameters, so the statement
-  // text stays stable across executions (a prepared keygen INSERT keeps
-  // hitting the node statement cache); inlined literals are the baseline.
-  bool bind = engine::PipelineConfig::dml_param_binding_enabled();
+  // Append the generated-key column with fresh keys on every row. The keys
+  // ride as bound parameters, so the statement shape stays stable across
+  // executions.
   auto clone = stmt.Clone();
   auto* mutable_ins = static_cast<sql::InsertStatement*>(clone.get());
   mutable_ins->columns.push_back(table_rule->keygen_column());
   for (auto& row : mutable_ins->rows) {
     Value key = table_rule->key_generator()->NextKey();
     if (key.is_int()) *generated = key.AsInt();
-    if (bind) {
-      row.push_back(std::make_unique<sql::ParamExpr>(
-          static_cast<int>(params->size())));
-      params->push_back(std::move(key));
-    } else {
-      row.push_back(std::make_unique<sql::LiteralExpr>(std::move(key)));
-    }
+    row.push_back(
+        std::make_unique<sql::ParamExpr>(static_cast<int>(params->size())));
+    params->push_back(std::move(key));
   }
   return clone;
 }
@@ -89,7 +83,6 @@ Result<engine::ExecResult> ShardingRuntime::ExecuteStatement(
   // trace, samples a fresh one, or no-ops (DESIGN.md §13). Span storage is
   // trace-owned — never the statement arena below, which is reset on return.
   trace::StatementTraceScope tscope(
-      engine::PipelineConfig::observability_enabled(),
       engine::PipelineConfig::trace_sample_interval());
   if (tscope.active()) {
     tscope.Note("kind", std::string(sql::StatementKindName(stmt.kind())));
@@ -99,7 +92,7 @@ Result<engine::ExecResult> ShardingRuntime::ExecuteStatement(
   // scratch below bump-allocate and are reclaimed wholesale on return. The
   // merged result escapes the scope, so it must hold no arena memory — its
   // rows and labels use plain std containers (heap) by construction.
-  ArenaScope arena_scope(engine::PipelineConfig::arena_statements_enabled());
+  ArenaScope arena_scope(true);
 
   const sql::Statement* effective = &stmt;
   sql::StatementPtr keygen_stmt;
@@ -176,7 +169,6 @@ Result<engine::ExecResult> ShardingRuntime::Execute(std::string_view sql_text,
   // Opened here (not in ExecutePlan) so the parse/cache-lookup stage lands
   // inside the statement span; inner scopes join this one.
   trace::StatementTraceScope tscope(
-      engine::PipelineConfig::observability_enabled(),
       engine::PipelineConfig::trace_sample_interval());
   SPHERE_ASSIGN_OR_RETURN(std::shared_ptr<const StatementPlan> plan,
                           GetOrParse(sql_text));
@@ -233,10 +225,9 @@ Result<engine::ExecResult> ShardingRuntime::ExecutePlan(
   }
 
   trace::StatementTraceScope tscope(
-      engine::PipelineConfig::observability_enabled(),
       engine::PipelineConfig::trace_sample_interval());
 
-  ArenaScope arena_scope(engine::PipelineConfig::arena_statements_enabled());
+  ArenaScope arena_scope(true);
 
   if (routed == nullptr) {
     // The routed plan is published for reuse by later statements, so its

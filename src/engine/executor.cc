@@ -500,9 +500,7 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
 
   std::vector<std::string> labels = BuildLabels(stmt, columns);
   // Output spine and (on the plain-stream path) projection rows come from
-  // the recycler; with `pooled_batches` off both acquires return fresh
-  // storage, restoring the malloc baseline.
-  const bool pooled = PipelineConfig::pooled_batches_enabled();
+  // the recycler.
   std::vector<Row> output = RowStore::Instance().AcquireShell();
   std::vector<Row> spare = RowStore::Instance().AcquireShell();
   {
@@ -566,18 +564,14 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
       // capped by what the access path can possibly emit, so a point lookup
       // borrows one row, not a whole chunk.
       constexpr size_t kSpareChunk = 256;
-      ArenaVector<ProjectionStep> steps;
+      ArenaVector<ProjectionStep> steps = BuildProjectionSteps(stmt, columns);
       size_t dry_until = 0;  ///< probe the pool again at this output size
-      if (pooled) {
-        steps = BuildProjectionSteps(stmt, columns);
-        size_t bound = count_limit;
-        if (plan.pk_cond.has_value() &&
-            plan.pk_cond->kind != ColumnCondition::Kind::kRange) {
-          bound = std::min(bound, plan.pk_cond->values.size());
-        }
-        RowStore::Instance().AcquireRows(&spare,
-                                         std::min(bound, kSpareChunk));
+      size_t bound = count_limit;
+      if (plan.pk_cond.has_value() &&
+          plan.pk_cond->kind != ColumnCondition::Kind::kRange) {
+        bound = std::min(bound, plan.pk_cond->values.size());
       }
+      RowStore::Instance().AcquireRows(&spare, std::min(bound, kSpareChunk));
       size_t skipped = 0;
       for (const Row* row = cursor.Next();
            row != nullptr && output.size() < count_limit;
@@ -591,25 +585,19 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
           ++skipped;
           continue;
         }
-        if (pooled) {
-          if (spare.empty() && output.size() >= dry_until) {
-            if (RowStore::Instance().AcquireRows(&spare, kSpareChunk) == 0) {
-              dry_until = output.size() + kSpareChunk;
-            }
+        if (spare.empty() && output.size() >= dry_until) {
+          if (RowStore::Instance().AcquireRows(&spare, kSpareChunk) == 0) {
+            dry_until = output.size() + kSpareChunk;
           }
-          Row projected;
-          if (!spare.empty()) {
-            projected = std::move(spare.back());
-            spare.pop_back();
-          }
-          SPHERE_RETURN_NOT_OK(
-              ProjectRowInto(steps, columns, *row, params, &projected));
-          output.push_back(std::move(projected));
-        } else {
-          SPHERE_ASSIGN_OR_RETURN(Row projected,
-                                  ProjectRow(stmt, columns, *row, params));
-          output.push_back(std::move(projected));
         }
+        Row projected;
+        if (!spare.empty()) {
+          projected = std::move(spare.back());
+          spare.pop_back();
+        }
+        SPHERE_RETURN_NOT_OK(
+            ProjectRowInto(steps, columns, *row, params, &projected));
+        output.push_back(std::move(projected));
       }
       offset = 0;  // already applied during the scan
     }
@@ -1082,70 +1070,68 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStatement& stmt,
   // key or a secondary-indexed column, find, filter and mutate under one
   // writer section — O(matches · log n) instead of a full reader-lock
   // snapshot followed by a per-row re-lookup.
-  if (PipelineConfig::point_dml_enabled()) {
-    SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
-                            PlanScan(stmt.table, stmt.where.get(), params));
-    if (plan.pk_cond.has_value() || plan.idx_cond.has_value()) {
-      BoundColumns columns;
-      const std::string& qual = stmt.table.EffectiveName();
-      for (const auto& col : table->schema().columns()) {
-        columns.Add(qual, col.name);
-      }
-      int64_t writer =
-          txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
-      storage::ReadView wview = storage::ReadView::Latest(writer);
-      std::vector<std::pair<Value, Row>> pending;  // pk -> new image
-      std::vector<Row> old_images;
-      std::vector<Value> applied;  ///< updated PKs, for auto-commit restamp
-      {
-        WriterLock lk(table->latch());
-        {
-          TableScanCursor cursor(plan, wview, /*self_latch=*/false);
-          for (const Row* row = cursor.Next(); row != nullptr;
-               row = cursor.Next()) {
-            if (stmt.where != nullptr) {
-              SPHERE_ASSIGN_OR_RETURN(
-                  Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-              if (!IsTruthy(ok)) continue;
-            }
-            Row new_row = *row;
-            for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-              SPHERE_ASSIGN_OR_RETURN(
-                  Value v, EvalExpr(stmt.assignments[i].value.get(), columns,
-                                    *row, params));
-              new_row[static_cast<size_t>(target_cols[i])] = std::move(v);
-            }
-            pending.emplace_back((*row)[static_cast<size_t>(pk)],
-                                 std::move(new_row));
-            if (txn != nullptr) old_images.push_back(*row);
-          }
-        }
-        // Apply after the scan: Update rewrites secondary-index postings the
-        // cursor may still be iterating.
-        applied.reserve(pending.size());
-        for (size_t i = 0; i < pending.size(); ++i) {
-          Status st = table->Update(pending[i].first, pending[i].second, writer);
-          if (!st.ok()) {
-            // Auto-commit: unlink this statement's pending versions so a
-            // mid-apply failure leaves no invisible garbage; in a txn the
-            // undo records already written cover rollback.
-            if (txn == nullptr) {
-              for (const Value& p : applied) {
-                table->AbortWrite(p, writer, /*newest_only=*/true);
-              }
-            }
-            return st;
-          }
-          applied.push_back(pending[i].first);
-          if (txn != nullptr) {
-            txn->AddUndo({storage::UndoRecord::Op::kUpdate, table->name(),
-                          pending[i].first, std::move(old_images[i])});
-          }
-        }
-      }
-      if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-      return ExecResult::Update(static_cast<int64_t>(pending.size()));
+  SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
+                          PlanScan(stmt.table, stmt.where.get(), params));
+  if (plan.pk_cond.has_value() || plan.idx_cond.has_value()) {
+    BoundColumns columns;
+    const std::string& qual = stmt.table.EffectiveName();
+    for (const auto& col : table->schema().columns()) {
+      columns.Add(qual, col.name);
     }
+    int64_t writer =
+        txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
+    storage::ReadView wview = storage::ReadView::Latest(writer);
+    std::vector<std::pair<Value, Row>> pending;  // pk -> new image
+    std::vector<Row> old_images;
+    std::vector<Value> applied;  ///< updated PKs, for auto-commit restamp
+    {
+      WriterLock lk(table->latch());
+      {
+        TableScanCursor cursor(plan, wview, /*self_latch=*/false);
+        for (const Row* row = cursor.Next(); row != nullptr;
+             row = cursor.Next()) {
+          if (stmt.where != nullptr) {
+            SPHERE_ASSIGN_OR_RETURN(
+                Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
+            if (!IsTruthy(ok)) continue;
+          }
+          Row new_row = *row;
+          for (size_t i = 0; i < stmt.assignments.size(); ++i) {
+            SPHERE_ASSIGN_OR_RETURN(
+                Value v, EvalExpr(stmt.assignments[i].value.get(), columns,
+                                  *row, params));
+            new_row[static_cast<size_t>(target_cols[i])] = std::move(v);
+          }
+          pending.emplace_back((*row)[static_cast<size_t>(pk)],
+                               std::move(new_row));
+          if (txn != nullptr) old_images.push_back(*row);
+        }
+      }
+      // Apply after the scan: Update rewrites secondary-index postings the
+      // cursor may still be iterating.
+      applied.reserve(pending.size());
+      for (size_t i = 0; i < pending.size(); ++i) {
+        Status st = table->Update(pending[i].first, pending[i].second, writer);
+        if (!st.ok()) {
+          // Auto-commit: unlink this statement's pending versions so a
+          // mid-apply failure leaves no invisible garbage; in a txn the
+          // undo records already written cover rollback.
+          if (txn == nullptr) {
+            for (const Value& p : applied) {
+              table->AbortWrite(p, writer, /*newest_only=*/true);
+            }
+          }
+          return st;
+        }
+        applied.push_back(pending[i].first);
+        if (txn != nullptr) {
+          txn->AddUndo({storage::UndoRecord::Op::kUpdate, table->name(),
+                        pending[i].first, std::move(old_images[i])});
+        }
+      }
+    }
+    if (txn == nullptr) CommitAutoCommit(table, applied, writer);
+    return ExecResult::Update(static_cast<int64_t>(pending.size()));
   }
 
   int64_t writer = txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
@@ -1208,51 +1194,49 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStatement& stmt,
   // keys through the access-path cursor, then delete — all under one writer
   // section (Delete restructures the leaf chain the cursor walks, so the
   // two phases cannot interleave).
-  if (PipelineConfig::point_dml_enabled()) {
-    SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
-                            PlanScan(stmt.table, stmt.where.get(), params));
-    if (plan.pk_cond.has_value() || plan.idx_cond.has_value()) {
-      BoundColumns columns;
-      const std::string& qual = stmt.table.EffectiveName();
-      for (const auto& col : table->schema().columns()) {
-        columns.Add(qual, col.name);
-      }
-      int64_t writer =
-          txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
-      storage::ReadView wview = storage::ReadView::Latest(writer);
-      std::vector<Value> keys;
-      std::vector<Value> applied;
-      int64_t removed = 0;
-      {
-        WriterLock lk(table->latch());
-        {
-          TableScanCursor cursor(plan, wview, /*self_latch=*/false);
-          for (const Row* row = cursor.Next(); row != nullptr;
-               row = cursor.Next()) {
-            if (stmt.where != nullptr) {
-              SPHERE_ASSIGN_OR_RETURN(
-                  Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-              if (!IsTruthy(ok)) continue;
-            }
-            keys.push_back((*row)[static_cast<size_t>(pk)]);
-          }
-        }
-        applied.reserve(keys.size());
-        for (const Value& key : keys) {
-          Row old_row;
-          Status st = table->Delete(key, &old_row, writer);
-          if (!st.ok()) continue;  // already gone
-          ++removed;
-          applied.push_back(key);
-          if (txn != nullptr) {
-            txn->AddUndo({storage::UndoRecord::Op::kDelete, table->name(), key,
-                          std::move(old_row)});
-          }
-        }
-      }
-      if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-      return ExecResult::Update(removed);
+  SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
+                          PlanScan(stmt.table, stmt.where.get(), params));
+  if (plan.pk_cond.has_value() || plan.idx_cond.has_value()) {
+    BoundColumns columns;
+    const std::string& qual = stmt.table.EffectiveName();
+    for (const auto& col : table->schema().columns()) {
+      columns.Add(qual, col.name);
     }
+    int64_t writer =
+        txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
+    storage::ReadView wview = storage::ReadView::Latest(writer);
+    std::vector<Value> keys;
+    std::vector<Value> applied;
+    int64_t removed = 0;
+    {
+      WriterLock lk(table->latch());
+      {
+        TableScanCursor cursor(plan, wview, /*self_latch=*/false);
+        for (const Row* row = cursor.Next(); row != nullptr;
+             row = cursor.Next()) {
+          if (stmt.where != nullptr) {
+            SPHERE_ASSIGN_OR_RETURN(
+                Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
+            if (!IsTruthy(ok)) continue;
+          }
+          keys.push_back((*row)[static_cast<size_t>(pk)]);
+        }
+      }
+      applied.reserve(keys.size());
+      for (const Value& key : keys) {
+        Row old_row;
+        Status st = table->Delete(key, &old_row, writer);
+        if (!st.ok()) continue;  // already gone
+        ++removed;
+        applied.push_back(key);
+        if (txn != nullptr) {
+          txn->AddUndo({storage::UndoRecord::Op::kDelete, table->name(), key,
+                        std::move(old_row)});
+        }
+      }
+    }
+    if (txn == nullptr) CommitAutoCommit(table, applied, writer);
+    return ExecResult::Update(removed);
   }
 
   int64_t writer = txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();

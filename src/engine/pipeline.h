@@ -18,6 +18,11 @@ namespace sphere::engine {
 enum class ConcurrencyControl { kLatch, kMvcc };
 
 /// Process-wide knobs of the streaming scan-to-merge pipeline (DESIGN.md §9).
+/// Each pipeline stage has one lane; what remains here is either a genuine
+/// operational choice (batch size, trace sampling, proxy sizing, concurrency
+/// control) or a baseline a differential suite still compares against
+/// (`streaming`, `proxy_multiplexing`). tools/analyze.py caps the count of
+/// these atomics.
 ///
 /// `batch size` bounds how many rows move per NextBatch call between pipeline
 /// stages: large enough to amortize a virtual call over many rows, small
@@ -46,83 +51,11 @@ class PipelineConfig {
     streaming_.store(on, std::memory_order_relaxed);
   }
 
-  /// Write-path fast lane (DESIGN.md §10): the rewriter attaches the per-unit
-  /// rewritten AST to each DML SQLUnit and skips ToSQL string-building; the
-  /// execution engine dispatches those units through the node session's
-  /// structured entry point, so neither side serializes or re-parses SQL
-  /// text. Off restores the DML text lanes (SELECT units always run their
-  /// AST).
-  static bool dml_passthrough_enabled() {
-    return dml_passthrough_.load(std::memory_order_relaxed);
-  }
-  static void set_dml_passthrough_enabled(bool on) {
-    dml_passthrough_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Parameter-preserving DML rewrite: INSERT splitting renumbers `?`
-  /// placeholders per unit and ships a compact parameter slice instead of
-  /// inlining values into the text, so repeated prepared INSERTs produce a
-  /// stable per-shard text that hits the node statement cache. Off restores
-  /// the inlining rewrite (every execution a unique text — guaranteed node
-  /// parse-cache miss), kept as the benchmark baseline.
-  static bool dml_param_binding_enabled() {
-    return dml_param_binding_.load(std::memory_order_relaxed);
-  }
-  static void set_dml_param_binding_enabled(bool on) {
-    dml_param_binding_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Index-backed point DML: UPDATE/DELETE whose WHERE pins the primary key
-  /// or a secondary-indexed column mutate through the access-path cursor
-  /// under a single writer-latch section (no reader-lock snapshot, no
-  /// re-lookup per row). Off restores the materialize-then-mutate baseline.
-  static bool point_dml_enabled() {
-    return point_dml_.load(std::memory_order_relaxed);
-  }
-  static void set_point_dml_enabled(bool on) {
-    point_dml_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Statement-scoped arenas (DESIGN.md §12): every statement executes under
-  /// an ArenaScope, so AST nodes (parse, Clone, rewrite output) and scratch
-  /// containers bump-allocate and are reclaimed wholesale at statement end.
-  /// Off restores per-node heap allocation everywhere.
-  static bool arena_statements_enabled() {
-    return arena_statements_.load(std::memory_order_relaxed);
-  }
-  static void set_arena_statements_enabled(bool on) {
-    arena_statements_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Pooled row batches (DESIGN.md §12): the streaming select path projects
-  /// into recycled rows (string capacity reused in place), result-set drains
-  /// reuse pooled batch vectors, and the simulated wire skips the
-  /// encode/decode round-trip for in-process calls while still charging
-  /// byte-identical transfer sizes. Off restores fresh vectors per batch and
-  /// the full encode path.
-  static bool pooled_batches_enabled() {
-    return pooled_batches_.load(std::memory_order_relaxed);
-  }
-  static void set_pooled_batches_enabled(bool on) {
-    pooled_batches_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Observability master switch (DESIGN.md §13): gates statement-trace
-  /// sampling in the runtime. Off, the per-statement cost is a single
-  /// relaxed load — no sampler tick, no span allocation. Migrated counters
-  /// (cache hits, pool occupancy, breaker trips) stay on either way; they
-  /// were plain atomics before the registry existed.
-  static bool observability_enabled() {
-    return observability_.load(std::memory_order_relaxed);
-  }
-  static void set_observability_enabled(bool on) {
-    observability_.store(on, std::memory_order_relaxed);
-  }
-
   /// Trace sampling interval: every Nth statement grows a span tree that
   /// feeds the stage-latency histograms. 1 traces everything (tests), 0
-  /// never samples (counters only); DistSQL `TRACE <sql>` bypasses the
-  /// sampler entirely. The default amortizes the span tree's cost (clock
+  /// never samples — the observability-off setting: counters stay on, no
+  /// sampler span is ever built; DistSQL `TRACE <sql>` bypasses the sampler
+  /// entirely. The default amortizes the span tree's cost (clock
   /// reads, lock round-trips, vector churn) to ~2% of a point-select
   /// statement, holding BM_ObservabilityOverhead inside its 5% gate.
   static constexpr uint32_t kDefaultTraceSampleInterval = 128;
@@ -191,12 +124,6 @@ class PipelineConfig {
  private:
   static std::atomic<size_t> batch_size_;
   static std::atomic<bool> streaming_;
-  static std::atomic<bool> dml_passthrough_;
-  static std::atomic<bool> dml_param_binding_;
-  static std::atomic<bool> point_dml_;
-  static std::atomic<bool> arena_statements_;
-  static std::atomic<bool> pooled_batches_;
-  static std::atomic<bool> observability_;
   static std::atomic<uint32_t> trace_sample_interval_;
   static std::atomic<bool> proxy_multiplexing_;
   static std::atomic<int> proxy_max_connections_;
@@ -241,97 +168,6 @@ class ScopedStreamingMode {
   bool previous_;
 };
 
-/// RAII toggle for the structured pass-through lane (differential tests and
-/// the pass-through-vs-reparse ablation); restores the previous setting.
-class ScopedDmlPassThrough {
- public:
-  explicit ScopedDmlPassThrough(bool on)
-      : previous_(PipelineConfig::dml_passthrough_enabled()) {
-    PipelineConfig::set_dml_passthrough_enabled(on);
-  }
-  ~ScopedDmlPassThrough() {
-    PipelineConfig::set_dml_passthrough_enabled(previous_);
-  }
-
-  ScopedDmlPassThrough(const ScopedDmlPassThrough&) = delete;
-  ScopedDmlPassThrough& operator=(const ScopedDmlPassThrough&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// RAII toggle for the parameter-preserving DML rewrite.
-class ScopedDmlParamBinding {
- public:
-  explicit ScopedDmlParamBinding(bool on)
-      : previous_(PipelineConfig::dml_param_binding_enabled()) {
-    PipelineConfig::set_dml_param_binding_enabled(on);
-  }
-  ~ScopedDmlParamBinding() {
-    PipelineConfig::set_dml_param_binding_enabled(previous_);
-  }
-
-  ScopedDmlParamBinding(const ScopedDmlParamBinding&) = delete;
-  ScopedDmlParamBinding& operator=(const ScopedDmlParamBinding&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// RAII toggle for the index-backed point UPDATE/DELETE path.
-class ScopedPointDml {
- public:
-  explicit ScopedPointDml(bool on)
-      : previous_(PipelineConfig::point_dml_enabled()) {
-    PipelineConfig::set_point_dml_enabled(on);
-  }
-  ~ScopedPointDml() { PipelineConfig::set_point_dml_enabled(previous_); }
-
-  ScopedPointDml(const ScopedPointDml&) = delete;
-  ScopedPointDml& operator=(const ScopedPointDml&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// RAII toggle for statement-scoped arenas (differential tests and the
-/// arena-vs-malloc ablation); restores the previous setting.
-class ScopedArenaStatements {
- public:
-  explicit ScopedArenaStatements(bool on)
-      : previous_(PipelineConfig::arena_statements_enabled()) {
-    PipelineConfig::set_arena_statements_enabled(on);
-  }
-  ~ScopedArenaStatements() {
-    PipelineConfig::set_arena_statements_enabled(previous_);
-  }
-
-  ScopedArenaStatements(const ScopedArenaStatements&) = delete;
-  ScopedArenaStatements& operator=(const ScopedArenaStatements&) = delete;
-
- private:
-  bool previous_;
-};
-
-/// RAII toggle for the observability master switch (overhead benches and
-/// trace tests); restores the previous setting.
-class ScopedObservability {
- public:
-  explicit ScopedObservability(bool on)
-      : previous_(PipelineConfig::observability_enabled()) {
-    PipelineConfig::set_observability_enabled(on);
-  }
-  ~ScopedObservability() {
-    PipelineConfig::set_observability_enabled(previous_);
-  }
-
-  ScopedObservability(const ScopedObservability&) = delete;
-  ScopedObservability& operator=(const ScopedObservability&) = delete;
-
- private:
-  bool previous_;
-};
-
 /// RAII override of the trace sampling interval (tests pin it to 1 to trace
 /// deterministically); restores the previous interval.
 class ScopedTraceSampling {
@@ -349,24 +185,6 @@ class ScopedTraceSampling {
 
  private:
   uint32_t previous_;
-};
-
-/// RAII toggle for pooled row batches / recycled projection storage.
-class ScopedPooledBatches {
- public:
-  explicit ScopedPooledBatches(bool on)
-      : previous_(PipelineConfig::pooled_batches_enabled()) {
-    PipelineConfig::set_pooled_batches_enabled(on);
-  }
-  ~ScopedPooledBatches() {
-    PipelineConfig::set_pooled_batches_enabled(previous_);
-  }
-
-  ScopedPooledBatches(const ScopedPooledBatches&) = delete;
-  ScopedPooledBatches& operator=(const ScopedPooledBatches&) = delete;
-
- private:
-  bool previous_;
 };
 
 /// RAII toggle for the event-driven proxy front end. Wrap *construction* of

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/metrics.h"
-#include "engine/pipeline.h"
 
 namespace sphere::engine {
 
@@ -25,19 +24,15 @@ RowStore& RowStore::Instance() {
 }
 
 std::vector<Row> RowStore::AcquireShell() {
-  if (PipelineConfig::pooled_batches_enabled()) {
-    MutexLock lk(mu_);
-    if (!shells_.empty()) {
-      std::vector<Row> shell = std::move(shells_.back());
-      shells_.pop_back();
-      return shell;
-    }
-  }
-  return {};
+  MutexLock lk(mu_);
+  if (shells_.empty()) return {};
+  std::vector<Row> shell = std::move(shells_.back());
+  shells_.pop_back();
+  return shell;
 }
 
 size_t RowStore::AcquireRows(std::vector<Row>* out, size_t max) {
-  if (max == 0 || !PipelineConfig::pooled_batches_enabled()) return 0;
+  if (max == 0) return 0;
   MutexLock lk(mu_);
   size_t n = std::min(max, rows_.size());
   if (n == 0) return 0;
@@ -48,11 +43,6 @@ size_t RowStore::AcquireRows(std::vector<Row>* out, size_t max) {
 }
 
 void RowStore::Release(std::vector<Row>&& batch) {
-  if (!PipelineConfig::pooled_batches_enabled()) {
-    batch.clear();
-    batch.shrink_to_fit();
-    return;
-  }
   MutexLock lk(mu_);
   for (Row& row : batch) {
     if (rows_.size() >= kMaxRows) break;
@@ -68,21 +58,15 @@ void RowStore::Release(std::vector<Row>&& batch) {
 }
 
 std::vector<std::string> RowStore::AcquireLabelShell() {
-  if (PipelineConfig::pooled_batches_enabled()) {
-    MutexLock lk(mu_);
-    if (!label_shells_.empty()) {
-      std::vector<std::string> shell = std::move(label_shells_.back());
-      label_shells_.pop_back();
-      return shell;
-    }
-  }
-  return {};
+  MutexLock lk(mu_);
+  if (label_shells_.empty()) return {};
+  std::vector<std::string> shell = std::move(label_shells_.back());
+  label_shells_.pop_back();
+  return shell;
 }
 
 void RowStore::ReleaseLabels(std::vector<std::string>&& labels) {
-  if (!PipelineConfig::pooled_batches_enabled() || labels.capacity() == 0) {
-    return;
-  }
+  if (labels.capacity() == 0) return;
   labels.clear();
   MutexLock lk(mu_);
   if (label_shells_.size() < kMaxShells) {
@@ -91,7 +75,7 @@ void RowStore::ReleaseLabels(std::vector<std::string>&& labels) {
 }
 
 void* RowStore::AcquireBlock(size_t size) {
-  if (PipelineConfig::pooled_batches_enabled()) {
+  {
     MutexLock lk(mu_);
     if (!blocks_.empty() && block_size_ == size) {
       void* p = blocks_.back();
@@ -103,7 +87,6 @@ void* RowStore::AcquireBlock(size_t size) {
 }
 
 bool RowStore::ReleaseBlock(void* p, size_t size) {
-  if (!PipelineConfig::pooled_batches_enabled()) return false;
   MutexLock lk(mu_);
   if (block_size_ != size) {
     // First release (or a size change, e.g. a new subclass) repoints the

@@ -24,10 +24,6 @@ namespace sphere::engine {
 /// (capacity-0 rows left behind by a batch move) are filtered out on
 /// release — recycling them would defeat the capacity-reuse contract.
 ///
-/// With the `pooled_batches` knob off every call degrades to the malloc
-/// baseline: acquires return fresh storage and releases drop their input,
-/// keeping the two knob arms behaviorally identical for differential tests.
-///
 /// Thread-safe; the internal mutex ranks kCommon (a leaf), so any layer may
 /// call in while holding its own locks.
 class RowStore {
@@ -42,7 +38,7 @@ class RowStore {
   std::vector<Row> AcquireShell() SPHERE_EXCLUDES(mu_);
 
   /// Appends up to `max` capacity-rich recycled rows to `*out`; returns how
-  /// many were appended (0 when the pool is empty or pooling is off).
+  /// many were appended (0 when the pool is empty).
   size_t AcquireRows(std::vector<Row>* out, size_t max) SPHERE_EXCLUDES(mu_);
 
   /// Returns a consumed batch: non-husk rows feed the row pool, the cleared
@@ -87,7 +83,7 @@ class RowStore {
 };
 
 /// Convenience for drain loops: hand a fully consumed row batch back to the
-/// pool. No-op (frees) when pooling is off.
+/// pool.
 inline void RecycleRows(std::vector<Row>&& rows) {
   RowStore::Instance().Release(std::move(rows));
 }

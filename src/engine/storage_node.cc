@@ -2,7 +2,6 @@
 
 #include "common/arena.h"
 #include "common/clock.h"
-#include "engine/pipeline.h"
 #include "sql/parser.h"
 
 namespace sphere::engine {
@@ -65,7 +64,7 @@ Result<ExecResult> StorageNode::Session::ExecuteStatement(
   // middleware's scope is already active on this thread (inline execution);
   // on pool threads this is the owning scope. The returned result set uses
   // plain heap containers, so it safely outlives the scope.
-  ArenaScope arena_scope(PipelineConfig::arena_statements_enabled());
+  ArenaScope arena_scope(true);
   node_->statements_executed_.Increment();
   int64_t delay = node_->statement_delay_us_.load(std::memory_order_relaxed);
   if (delay > 0) {

@@ -1,7 +1,5 @@
 #include "net/remote.h"
 
-#include "engine/pipeline.h"
-
 namespace sphere::net {
 
 std::string ServeRequest(engine::StorageNode::Session* session,
@@ -86,15 +84,12 @@ Result<engine::ExecResult> RemoteConnection::Respond(
 
 Result<engine::ExecResult> RemoteConnection::Execute(
     std::string_view sql_text, const std::vector<Value>& params) {
-  if (engine::PipelineConfig::pooled_batches_enabled()) {
-    // In-process pass-through lane: skip the encode → decode → serve →
-    // encode → decode round-trip (and all its buffers) but charge the
-    // byte-identical transfer sizes the encoders would have produced, so
-    // the latency model sees exactly the baseline's wire traffic.
-    network_->Transfer(EncodedQuerySize(sql_text, params));
-    return Respond(session_->Execute(sql_text, params));
-  }
-  return Call(EncodeQuery(sql_text, params));
+  // In-process pass-through: skip the encode → decode → serve → encode →
+  // decode round-trip (and all its buffers) but charge the byte-identical
+  // transfer sizes the encoders would have produced, so the latency model
+  // sees exactly the encoded wire traffic.
+  network_->Transfer(EncodedQuerySize(sql_text, params));
+  return Respond(session_->Execute(sql_text, params));
 }
 
 Result<engine::ExecResult> RemoteConnection::ExecuteStatement(

@@ -194,7 +194,7 @@ std::optional<std::vector<Value>> ExtractInsertValues(
   return out;
 }
 
-ExprPtr InlineParamsExpr(const Expr* expr, const std::vector<Value>& params) {
+ExprPtr InlineParameters(const Expr* expr, const std::vector<Value>& params) {
   if (expr == nullptr) return nullptr;
   switch (expr->kind()) {
     case ExprKind::kParam: {
@@ -207,34 +207,34 @@ ExprPtr InlineParamsExpr(const Expr* expr, const std::vector<Value>& params) {
     case ExprKind::kUnary: {
       const auto* u = static_cast<const UnaryExpr*>(expr);
       return std::make_unique<UnaryExpr>(u->op,
-                                         InlineParamsExpr(u->child.get(), params));
+                                         InlineParameters(u->child.get(), params));
     }
     case ExprKind::kBinary: {
       const auto* b = static_cast<const BinaryExpr*>(expr);
       return std::make_unique<BinaryExpr>(b->op,
-                                          InlineParamsExpr(b->left.get(), params),
-                                          InlineParamsExpr(b->right.get(), params));
+                                          InlineParameters(b->left.get(), params),
+                                          InlineParameters(b->right.get(), params));
     }
     case ExprKind::kBetween: {
       const auto* b = static_cast<const BetweenExpr*>(expr);
       return std::make_unique<BetweenExpr>(
-          InlineParamsExpr(b->expr.get(), params),
-          InlineParamsExpr(b->low.get(), params),
-          InlineParamsExpr(b->high.get(), params), b->negated);
+          InlineParameters(b->expr.get(), params),
+          InlineParameters(b->low.get(), params),
+          InlineParameters(b->high.get(), params), b->negated);
     }
     case ExprKind::kIn: {
       const auto* in = static_cast<const InExpr*>(expr);
       std::vector<ExprPtr> list;
       list.reserve(in->list.size());
-      for (const auto& i : in->list) list.push_back(InlineParamsExpr(i.get(), params));
-      return std::make_unique<InExpr>(InlineParamsExpr(in->expr.get(), params),
+      for (const auto& i : in->list) list.push_back(InlineParameters(i.get(), params));
+      return std::make_unique<InExpr>(InlineParameters(in->expr.get(), params),
                                       std::move(list), in->negated);
     }
     case ExprKind::kFuncCall: {
       const auto* f = static_cast<const FuncCallExpr*>(expr);
       std::vector<ExprPtr> args;
       args.reserve(f->args.size());
-      for (const auto& a : f->args) args.push_back(InlineParamsExpr(a.get(), params));
+      for (const auto& a : f->args) args.push_back(InlineParameters(a.get(), params));
       return std::make_unique<FuncCallExpr>(f->name, std::move(args), f->distinct,
                                             f->star);
     }
@@ -242,10 +242,10 @@ ExprPtr InlineParamsExpr(const Expr* expr, const std::vector<Value>& params) {
       const auto* c = static_cast<const CaseExpr*>(expr);
       auto out = std::make_unique<CaseExpr>();
       for (const auto& [w, t] : c->branches) {
-        out->branches.emplace_back(InlineParamsExpr(w.get(), params),
-                                   InlineParamsExpr(t.get(), params));
+        out->branches.emplace_back(InlineParameters(w.get(), params),
+                                   InlineParameters(t.get(), params));
       }
-      if (c->else_expr) out->else_expr = InlineParamsExpr(c->else_expr.get(), params);
+      if (c->else_expr) out->else_expr = InlineParameters(c->else_expr.get(), params);
       return out;
     }
     default:
@@ -260,33 +260,33 @@ StatementPtr InlineParameters(const Statement& stmt,
     case StatementKind::kSelect: {
       auto* sel = static_cast<SelectStatement*>(clone.get());
       for (auto& item : sel->items) {
-        if (item.expr) item.expr = InlineParamsExpr(item.expr.get(), params);
+        if (item.expr) item.expr = InlineParameters(item.expr.get(), params);
       }
       for (auto& j : sel->joins) {
-        if (j.on) j.on = InlineParamsExpr(j.on.get(), params);
+        if (j.on) j.on = InlineParameters(j.on.get(), params);
       }
-      if (sel->where) sel->where = InlineParamsExpr(sel->where.get(), params);
-      for (auto& g : sel->group_by) g = InlineParamsExpr(g.get(), params);
-      if (sel->having) sel->having = InlineParamsExpr(sel->having.get(), params);
-      for (auto& o : sel->order_by) o.expr = InlineParamsExpr(o.expr.get(), params);
+      if (sel->where) sel->where = InlineParameters(sel->where.get(), params);
+      for (auto& g : sel->group_by) g = InlineParameters(g.get(), params);
+      if (sel->having) sel->having = InlineParameters(sel->having.get(), params);
+      for (auto& o : sel->order_by) o.expr = InlineParameters(o.expr.get(), params);
       break;
     }
     case StatementKind::kInsert: {
       auto* ins = static_cast<InsertStatement*>(clone.get());
       for (auto& row : ins->rows) {
-        for (auto& e : row) e = InlineParamsExpr(e.get(), params);
+        for (auto& e : row) e = InlineParameters(e.get(), params);
       }
       break;
     }
     case StatementKind::kUpdate: {
       auto* up = static_cast<UpdateStatement*>(clone.get());
-      for (auto& a : up->assignments) a.value = InlineParamsExpr(a.value.get(), params);
-      if (up->where) up->where = InlineParamsExpr(up->where.get(), params);
+      for (auto& a : up->assignments) a.value = InlineParameters(a.value.get(), params);
+      if (up->where) up->where = InlineParameters(up->where.get(), params);
       break;
     }
     case StatementKind::kDelete: {
       auto* del = static_cast<DeleteStatement*>(clone.get());
-      if (del->where) del->where = InlineParamsExpr(del->where.get(), params);
+      if (del->where) del->where = InlineParameters(del->where.get(), params);
       break;
     }
     default:

@@ -57,7 +57,7 @@ std::optional<std::vector<Value>> ExtractInsertValues(
 
 /// Deep-clones an expression with every ? placeholder replaced by its bound
 /// value, so the text can be re-executed standalone.
-ExprPtr InlineParamsExpr(const Expr* expr, const std::vector<Value>& params);
+ExprPtr InlineParameters(const Expr* expr, const std::vector<Value>& params);
 
 /// Clones a statement with all parameters materialized as literals. Used
 /// when a statement must be shipped as self-contained text (replicated state

@@ -3,7 +3,6 @@
 #include "common/metrics.h"
 #include "common/strings.h"
 #include "sql/condition.h"
-#include "sql/parser.h"
 
 namespace sphere::transaction {
 
@@ -13,47 +12,6 @@ namespace {
 /// registry owns the counters for the process lifetime.
 metrics::Counter* TxnCounter(const char* name) {
   return metrics::Registry::Instance().GetCounter(name);
-}
-
-/// Clones an expression with every ? placeholder replaced by its bound value
-/// so the text can be re-executed standalone (image queries, compensation).
-sql::ExprPtr InlineParams(const sql::Expr* e, const std::vector<Value>& params) {
-  if (e == nullptr) return nullptr;
-  if (e->kind() == sql::ExprKind::kParam) {
-    int idx = static_cast<const sql::ParamExpr*>(e)->index;
-    Value v = (idx >= 0 && static_cast<size_t>(idx) < params.size())
-                  ? params[static_cast<size_t>(idx)]
-                  : Value::Null();
-    return std::make_unique<sql::LiteralExpr>(std::move(v));
-  }
-  switch (e->kind()) {
-    case sql::ExprKind::kUnary: {
-      const auto* u = static_cast<const sql::UnaryExpr*>(e);
-      return std::make_unique<sql::UnaryExpr>(u->op,
-                                              InlineParams(u->child.get(), params));
-    }
-    case sql::ExprKind::kBinary: {
-      const auto* b = static_cast<const sql::BinaryExpr*>(e);
-      return std::make_unique<sql::BinaryExpr>(
-          b->op, InlineParams(b->left.get(), params),
-          InlineParams(b->right.get(), params));
-    }
-    case sql::ExprKind::kBetween: {
-      const auto* b = static_cast<const sql::BetweenExpr*>(e);
-      return std::make_unique<sql::BetweenExpr>(
-          InlineParams(b->expr.get(), params), InlineParams(b->low.get(), params),
-          InlineParams(b->high.get(), params), b->negated);
-    }
-    case sql::ExprKind::kIn: {
-      const auto* in = static_cast<const sql::InExpr*>(e);
-      std::vector<sql::ExprPtr> list;
-      for (const auto& i : in->list) list.push_back(InlineParams(i.get(), params));
-      return std::make_unique<sql::InExpr>(InlineParams(in->expr.get(), params),
-                                           std::move(list), in->negated);
-    }
-    default:
-      return e->Clone();
-  }
 }
 
 }  // namespace
@@ -125,16 +83,8 @@ Result<net::RemoteConnection*> DistributedTransaction::TransactionConnection(
 Status DistributedTransaction::BeforeUnit(net::RemoteConnection* conn,
                                           const core::SQLUnit& unit) {
   if (type_ != TransactionType::kBase) return Status::OK();
-  // Units carry their rewritten AST on the write path (zero-reparse lane);
-  // only text-form units from older call sites still need a parse here.
+  // Every unit carries its rewritten AST (core::SQLUnit invariant).
   const sql::Statement* stmt = unit.stmt.get();
-  sql::StatementPtr parsed;
-  if (stmt == nullptr) {
-    sql::Parser parser;
-    SPHERE_ASSIGN_OR_RETURN(parsed, parser.Parse(unit.sql));
-    stmt = parsed.get();
-  }
-
   switch (stmt->kind()) {
     case sql::StatementKind::kInsert: {
       // Undo = delete the inserted rows (matched on all inserted columns).
@@ -176,7 +126,7 @@ Status DistributedTransaction::BeforeUnit(net::RemoteConnection* conn,
       undo.table = table;
       std::string image_sql = "SELECT * FROM " + table;
       if (where != nullptr) {
-        sql::ExprPtr inlined = InlineParams(where, unit.params);
+        sql::ExprPtr inlined = sql::InlineParameters(where, unit.params);
         undo.where_sql = inlined->ToSQL(sql::Dialect::MySQL());
         image_sql += " WHERE " + undo.where_sql;
       }

@@ -1,14 +1,16 @@
-// Differential test suite for the write-path fast lane (DESIGN.md §10).
+// Golden replay suite for the write path (DESIGN.md §10).
 //
-// Every DML script below is replayed against a freshly built sharded cluster
-// once per lane configuration — structured pass-through, cached-text, legacy
-// inlined-text, each with the point-DML index path on and off — and the final
-// database state, per-statement affected counts, and error positions must be
-// identical across all of them. Mirrors the streaming SELECT differential
-// suite on the read path.
+// Every DML script below is replayed against a freshly built sharded cluster,
+// and the per-statement affected counts, error positions and final database
+// state must match tests/adaptor/write_lane_golden.txt byte for byte. The
+// golden records were taken while six DML lanes (structured, cached-text and
+// inlined-text rewrites, each with index-backed and scan-based UPDATE/DELETE)
+// still existed and all agreed; the one surviving lane must reproduce them.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,42 +18,55 @@
 #include "adaptor/jdbc.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "engine/pipeline.h"
 #include "engine/result_set.h"
+#include "storage/table.h"
 
 namespace sphere::adaptor {
 namespace {
 
-struct Lane {
-  bool passthrough;
-  bool binding;
-  bool point_dml;
-  const char* name;
-};
-
-constexpr Lane kLanes[] = {
-    {true, true, true, "structured"},
-    {false, true, true, "cached-text"},
-    {false, false, true, "legacy-text"},
-    {true, true, false, "structured/scan"},
-    {false, true, false, "cached-text/scan"},
-    {false, false, false, "legacy-text/scan"},
-};
+/// Golden records keyed by script name: the text after each `== <name>`
+/// header line up to the next header. Lines starting with `#` before the
+/// first header are the file's description.
+const std::map<std::string, std::string>& Golden() {
+  static const std::map<std::string, std::string> records = [] {
+    std::map<std::string, std::string> out;
+    std::ifstream in(SPHERE_WRITE_LANE_GOLDEN);
+    EXPECT_TRUE(in.good()) << "cannot open " << SPHERE_WRITE_LANE_GOLDEN;
+    std::string line;
+    std::string* current = nullptr;
+    while (std::getline(in, line)) {
+      if (line.rfind("== ", 0) == 0) {
+        current = &out[line.substr(3)];
+      } else if (current != nullptr) {
+        *current += line + "\n";
+      }
+    }
+    return out;
+  }();
+  return records;
+}
 
 /// One step of a DML script. `sql` may be BEGIN/COMMIT/ROLLBACK; `may_fail`
-/// marks steps whose failure is part of the scenario (the lane comparison
-/// then checks that every lane fails at the same step).
+/// marks steps whose failure is part of the scenario (the golden record
+/// pins which steps fail).
 struct Step {
   std::string sql;
   std::vector<Value> params = {};
   bool may_fail = false;
 };
 
-/// Outcome of replaying a script on one lane: per-step affected counts
-/// (-1 = step failed) and a serialized fingerprint of the final state.
+/// Outcome of replaying a script: per-step affected counts (-1 = step
+/// failed) and a serialized fingerprint of the final state.
 struct Replay {
   std::vector<int64_t> counts;
   std::string fingerprint;
+
+  /// The golden-file form: a `counts` line, then the fingerprint.
+  std::string Serialize() const {
+    std::string out = "counts";
+    for (int64_t n : counts) out += " " + std::to_string(n);
+    return out + "\n" + fingerprint;
+  }
 };
 
 class WriteLaneTest : public ::testing::Test {
@@ -132,19 +147,15 @@ class WriteLaneTest : public ::testing::Test {
     return out;
   }
 
-  /// Replays `script` on a fresh cluster under `lane`. Seeding runs under the
-  /// same lane, so the seed rows exercise it too.
-  static Replay Run(const Lane& lane, const std::vector<Step>& script) {
-    engine::ScopedDmlPassThrough passthrough(lane.passthrough);
-    engine::ScopedDmlParamBinding binding(lane.binding);
-    engine::ScopedPointDml point(lane.point_dml);
+  /// Replays `script` on a fresh cluster (seeding included).
+  static Replay Run(const std::vector<Step>& script) {
     Cluster c = MakeCluster();
     Replay replay;
     for (const Step& step : script) {
       auto r = c.conn->ExecuteSQL(step.sql, step.params);
       if (!r.ok()) {
         EXPECT_TRUE(step.may_fail)
-            << lane.name << ": unexpected failure at '" << step.sql
+            << "unexpected failure at '" << step.sql
             << "': " << r.status().ToString();
         replay.counts.push_back(-1);
         continue;
@@ -155,22 +166,21 @@ class WriteLaneTest : public ::testing::Test {
     return replay;
   }
 
-  /// The core differential assertion: every lane agrees with the first.
-  static void ExpectLanesAgree(const std::vector<Step>& script) {
-    Replay baseline = Run(kLanes[0], script);
-    EXPECT_FALSE(baseline.fingerprint.empty());
-    for (size_t i = 1; i < std::size(kLanes); ++i) {
-      Replay other = Run(kLanes[i], script);
-      EXPECT_EQ(baseline.counts, other.counts)
-          << "affected counts diverge on lane " << kLanes[i].name;
-      EXPECT_EQ(baseline.fingerprint, other.fingerprint)
-          << "final state diverges on lane " << kLanes[i].name;
+  /// The core assertion: the replay matches the golden record `name`
+  /// (default: the running test's name) byte for byte.
+  static void ExpectMatchesGolden(const std::vector<Step>& script,
+                                  std::string name = "") {
+    if (name.empty()) {
+      name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
     }
+    auto it = Golden().find(name);
+    ASSERT_NE(it, Golden().end()) << "no golden record " << name;
+    EXPECT_EQ(Run(script).Serialize(), it->second) << name;
   }
 };
 
 TEST_F(WriteLaneTest, InsertShapes) {
-  ExpectLanesAgree({
+  ExpectMatchesGolden({
       {"INSERT INTO t_user (uid, name, age, score) VALUES (100, 'new', 30, 1.0)", {}},
       // Multi-row insert scattering across shards and data sources.
       {"INSERT INTO t_user (uid, name, age, score) VALUES "
@@ -185,7 +195,7 @@ TEST_F(WriteLaneTest, InsertShapes) {
 }
 
 TEST_F(WriteLaneTest, PointAndRangeUpdates) {
-  ExpectLanesAgree({
+  ExpectMatchesGolden({
       // Point by sharding key (single shard, PK fast path).
       {"UPDATE t_user SET score = score + 1 WHERE uid = 7", {}},
       {"UPDATE t_user SET name = ? WHERE uid = ?", {Value("renamed"), Value(3)}},
@@ -201,7 +211,7 @@ TEST_F(WriteLaneTest, PointAndRangeUpdates) {
 }
 
 TEST_F(WriteLaneTest, PointAndRangeDeletes) {
-  ExpectLanesAgree({
+  ExpectMatchesGolden({
       {"DELETE FROM t_order WHERE oid = 9", {}},
       {"DELETE FROM t_order WHERE uid = ?", {Value(11)}},
       {"DELETE FROM t_user WHERE uid IN (2, 6, 999)", {}},
@@ -211,7 +221,7 @@ TEST_F(WriteLaneTest, PointAndRangeDeletes) {
 }
 
 TEST_F(WriteLaneTest, TransactionsCommitAndRollback) {
-  ExpectLanesAgree({
+  ExpectMatchesGolden({
       {"BEGIN", {}},
       {"UPDATE t_user SET score = score + 10 WHERE uid = 1", {}},
       {"UPDATE t_user SET score = score - 10 WHERE uid = 2", {}},
@@ -225,9 +235,9 @@ TEST_F(WriteLaneTest, TransactionsCommitAndRollback) {
 }
 
 TEST_F(WriteLaneTest, MidStatementFailureIsAtomicEverywhere) {
-  ExpectLanesAgree({
+  ExpectMatchesGolden({
       // Second row collides with seeded uid=5: the whole statement must be a
-      // no-op on every lane.
+      // no-op.
       {"INSERT INTO t_user (uid, name, age, score) VALUES "
        "(110, 'ok', 1, 1.0), (5, 'dup', 2, 2.0)", {}, /*may_fail=*/true},
       // And inside an explicit transaction followed by rollback.
@@ -297,15 +307,16 @@ TEST_F(WriteLaneTest, RandomizedDifferential) {
       }
     }
     if (in_txn) script.push_back({"COMMIT"});
-    ExpectLanesAgree(script);
+    ExpectMatchesGolden(script,
+                        "RandomizedDifferential/round" + std::to_string(round));
   }
 }
 
 TEST_F(WriteLaneTest, MemoryDisciplineKnobsAreBehaviorNeutral) {
-  // Arena statements + pooled batches across the write lanes: every knob
-  // combination must produce identical per-step counts and final state —
-  // including mid-transaction rollback, where arena scopes nest across the
-  // runtime and the storage nodes.
+  // Statement arenas and pooled batches must stay invisible in per-step
+  // counts and final state — including mid-transaction rollback, where arena
+  // scopes nest across the runtime and the storage nodes. Recorded with every
+  // arena/pooling combination agreeing.
   const std::vector<Step> script = {
       {"INSERT INTO t_user (uid, name, age, score) VALUES (700, 'm', 31, 2.5)"},
       {"INSERT INTO t_order (oid, uid, amount, month) VALUES (?, ?, ?, ?)",
@@ -319,23 +330,11 @@ TEST_F(WriteLaneTest, MemoryDisciplineKnobsAreBehaviorNeutral) {
       {"DELETE FROM t_order WHERE oid = ?", {Value(int64_t{7000})}},
       {"SELECT uid, score FROM t_user WHERE uid = 700"},
   };
-  Replay baseline;
-  for (int combo = 0; combo < 4; ++combo) {
-    engine::ScopedArenaStatements arena((combo & 1) != 0);
-    engine::ScopedPooledBatches pooled((combo & 2) != 0);
-    Replay r = Run(kLanes[0], script);
-    if (combo == 0) {
-      baseline = std::move(r);
-      EXPECT_FALSE(baseline.fingerprint.empty());
-      continue;
-    }
-    EXPECT_EQ(baseline.counts, r.counts) << "combo=" << combo;
-    EXPECT_EQ(baseline.fingerprint, r.fingerprint) << "combo=" << combo;
-  }
+  ExpectMatchesGolden(script);
 }
 
 // ---------------------------------------------------------------------------
-// Parse-cache accounting: proves each lane's claim about node-side parses.
+// Parse-cache accounting: no unit is parsed on a node.
 // ---------------------------------------------------------------------------
 
 TEST_F(WriteLaneTest, StructuredLaneNeverParsesOnNodes) {
@@ -345,14 +344,27 @@ TEST_F(WriteLaneTest, StructuredLaneNeverParsesOnNodes) {
     misses_before += n->parse_cache_misses();
     hits_before += n->parse_cache_hits();
   }
-  // Structured lane: repeated prepared INSERTs ship ASTs, so the node parse
-  // cache is never even consulted.
+  // Repeated prepared INSERTs ship ASTs, so the node parse cache is never
+  // even consulted.
   for (int i = 0; i < 20; ++i) {
     auto r = c.conn->ExecuteSQL(
         "INSERT INTO t_order (oid, uid, amount, month) VALUES (?, ?, ?, ?)",
         {Value(1000 + i), Value(i % 16), Value(1.0 * i), Value(1 + i % 12)});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
+  // DDL units carry their AST too: a sharded CREATE INDEX fans out to all
+  // four actual tables without a single node-side parse.
+  auto ddl = c.conn->ExecuteSQL("CREATE INDEX idx_order_month ON t_order (month)");
+  ASSERT_TRUE(ddl.ok()) << ddl.status().ToString();
+  int64_t indexed = 0;
+  for (auto& n : c.nodes) {
+    for (const std::string& name : n->database()->TableNames()) {
+      const storage::Table* table = n->database()->FindTable(name);
+      int month = table->schema().IndexOf("month");
+      if (month >= 0 && table->FindIndexOn(month) != nullptr) ++indexed;
+    }
+  }
+  EXPECT_EQ(indexed, 4);
   int64_t misses_after = 0, hits_after = 0;
   for (auto& n : c.nodes) {
     misses_after += n->parse_cache_misses();
@@ -362,46 +374,8 @@ TEST_F(WriteLaneTest, StructuredLaneNeverParsesOnNodes) {
   EXPECT_EQ(hits_after, hits_before);
 }
 
-TEST_F(WriteLaneTest, CachedTextLaneHitsParseCache) {
-  engine::ScopedDmlPassThrough text_lane(false);
-  Cluster c = MakeCluster();
-  int64_t misses_before = 0;
-  for (auto& n : c.nodes) misses_before += n->parse_cache_misses();
-  // Cached-text lane: stable placeholder text means at most one parse per
-  // distinct physical statement shape; the rest are cache hits.
-  for (int i = 0; i < 20; ++i) {
-    auto r = c.conn->ExecuteSQL(
-        "INSERT INTO t_order (oid, uid, amount, month) VALUES (?, ?, ?, ?)",
-        {Value(2000 + i), Value(3), Value(1.0 * i), Value(1 + i % 12)});
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  int64_t misses_after = 0;
-  for (auto& n : c.nodes) misses_after += n->parse_cache_misses();
-  // All 20 inserts route to the same physical table -> one miss, then hits.
-  EXPECT_EQ(misses_after - misses_before, 1);
-}
-
-TEST_F(WriteLaneTest, LegacyLaneReparsesEveryStatement) {
-  engine::ScopedDmlPassThrough no_passthrough(false);
-  engine::ScopedDmlParamBinding no_binding(false);
-  Cluster c = MakeCluster();
-  int64_t misses_before = 0;
-  for (auto& n : c.nodes) misses_before += n->parse_cache_misses();
-  // Legacy lane inlines the literal values: every distinct row makes a
-  // distinct text, and every text is a parse-cache miss.
-  for (int i = 0; i < 20; ++i) {
-    auto r = c.conn->ExecuteSQL(
-        "INSERT INTO t_order (oid, uid, amount, month) VALUES (?, ?, ?, ?)",
-        {Value(3000 + i), Value(3), Value(1.0 * i), Value(1 + i % 12)});
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  int64_t misses_after = 0;
-  for (auto& n : c.nodes) misses_after += n->parse_cache_misses();
-  EXPECT_EQ(misses_after - misses_before, 20);
-}
-
 // ---------------------------------------------------------------------------
-// Prepared-statement batch API rides the fast lane.
+// Prepared-statement batch API.
 // ---------------------------------------------------------------------------
 
 TEST_F(WriteLaneTest, PreparedBatchExecutesAllEntries) {

@@ -110,7 +110,7 @@ TEST(TraceTest, StatementScopeSamplesAndNotifiesSink) {
   RecordingSink sink;
   SinkScope install(&sink);
   {
-    StatementTraceScope scope(/*enabled=*/true, /*sample_interval=*/1);
+    StatementTraceScope scope(/*sample_interval=*/1);
     ASSERT_TRUE(scope.active());
     ScopedSpan stage("t_stage");
     EXPECT_TRUE(stage.active());
@@ -124,11 +124,7 @@ TEST(TraceTest, StatementScopeDisabledOrNeverSampledIsInert) {
   RecordingSink sink;
   SinkScope install(&sink);
   {
-    StatementTraceScope off(/*enabled=*/false, /*sample_interval=*/1);
-    EXPECT_FALSE(off.active());
-  }
-  {
-    StatementTraceScope never(/*enabled=*/true, /*sample_interval=*/0);
+    StatementTraceScope never(/*sample_interval=*/0);
     EXPECT_FALSE(never.active());
   }
   EXPECT_EQ(sink.completed(), 0);
@@ -140,11 +136,11 @@ TEST(TraceTest, NestedStatementScopesJoinWithoutDoubleCounting) {
   RecordingSink sink;
   SinkScope install(&sink);
   {
-    StatementTraceScope outer(true, 1);
+    StatementTraceScope outer(1);
     ASSERT_TRUE(outer.active());
     int64_t before = Current()->span_count();
     {
-      StatementTraceScope inner(true, 1);
+      StatementTraceScope inner(1);
       EXPECT_FALSE(inner.active());  // joined silently, no new span
       EXPECT_EQ(Current()->span_count(), before);
     }
@@ -159,7 +155,7 @@ TEST(TraceTest, ForcedTraceJoinsOpensStatementSpan) {
   Trace tr("trace");
   {
     TraceScope scope(&tr);
-    StatementTraceScope stmt(/*enabled=*/true, /*sample_interval=*/0);
+    StatementTraceScope stmt(/*sample_interval=*/0);
     ASSERT_TRUE(stmt.active());
     EXPECT_EQ(stmt.span()->name, "statement");
     EXPECT_EQ(stmt.span()->parent, tr.root());

@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "engine/storage_node.h"
 #include "net/latency.h"
+#include "sql/parser.h"
 
 namespace sphere::core {
 namespace {
@@ -38,12 +39,17 @@ class ExecutePoolTest : public ::testing::Test {
   }
 
   /// `count` units striped over the three sources: unit i targets ds_{i%3}.
+  /// Like the rewriter's units, each carries its AST next to its text.
   static std::vector<SQLUnit> StripedUnits(int count) {
+    auto parsed = sql::ParseSQL("SELECT n FROM t");
+    EXPECT_TRUE(parsed.ok());
+    std::shared_ptr<const sql::Statement> stmt(std::move(parsed).value());
     std::vector<SQLUnit> units;
     for (int i = 0; i < count; ++i) {
       SQLUnit u;
       u.data_source = "ds_" + std::to_string(i % 3);
       u.sql = "SELECT n FROM t";
+      u.stmt = stmt;
       units.push_back(std::move(u));
     }
     return units;
@@ -89,17 +95,10 @@ TEST_F(ExecutePoolTest, ResultsAlignOnSharedPoolDefault) {
 }
 
 TEST_F(ExecutePoolTest, SingleUnitRunsInlineWithoutPool) {
-  ExecutionEngine engine(&registry_, 1, nullptr);  // even with no pool at all
+  // nullptr selects the shared pool; a single unit never touches it.
+  ExecutionEngine engine(&registry_, 1, nullptr);
+  EXPECT_EQ(engine.thread_pool(), SharedThreadPool());
   std::vector<SQLUnit> units = StripedUnits(1);
-  auto outcome = engine.Execute(units, nullptr);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ExpectAligned(units, std::move(outcome.value().results));
-}
-
-TEST_F(ExecutePoolTest, LegacySpawnBaselineStillAligns) {
-  ExecutionEngine engine(&registry_, 1);
-  engine.set_thread_pool(nullptr);  // benchmark baseline path
-  std::vector<SQLUnit> units = StripedUnits(6);
   auto outcome = engine.Execute(units, nullptr);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ExpectAligned(units, std::move(outcome.value().results));

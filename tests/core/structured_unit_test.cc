@@ -1,6 +1,7 @@
-// Structured SELECT units (DESIGN.md §10): the AST a unit carries must run on
-// the node exactly like its rendered text — same labels, same rows, and the
-// same bytes and messages on the modeled wire.
+// Structured SELECT and DDL units (DESIGN.md §10): the AST a unit carries
+// must run on the node exactly like its rendered text — same labels, same
+// rows, same schema, and the bytes and messages the real encoders produce on
+// the modeled wire.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +10,9 @@
 
 #include "core/rewrite.h"
 #include "core/route.h"
-#include "engine/pipeline.h"
+#include "net/packet.h"
 #include "sql/parser.h"
+#include "storage/table.h"
 #include "tests/core/test_cluster.h"
 
 namespace sphere::core {
@@ -177,44 +179,118 @@ TEST_F(StructuredUnitTest, SelectUnitsNeverTouchTheNodeParseCache) {
   EXPECT_EQ(after, before);
 }
 
+// ---------- DDL round trip: running the AST == running the text ----------
+
+/// Every table of `node`: columns (type, key flags, covering index) and the
+/// live row count, in table-name order.
+std::string DescribeSchema(engine::StorageNode* node) {
+  std::string out;
+  for (const std::string& name : node->database()->TableNames()) {
+    const storage::Table* table = node->database()->FindTable(name);
+    out += name + "(";
+    for (size_t i = 0; i < table->schema().size(); ++i) {
+      const Column& c = table->schema().column(i);
+      out += c.name + ":" + std::to_string(static_cast<int>(c.type));
+      if (c.primary_key) out += " pk";
+      if (c.not_null) out += " not_null";
+      if (const storage::SecondaryIndex* idx =
+              table->FindIndexOn(static_cast<int>(i))) {
+        out += " index=" + idx->name();
+      }
+      out += ",";
+    }
+    out += ") rows=" + std::to_string(table->row_count()) + "\n";
+  }
+  return out;
+}
+
+TEST_F(StructuredUnitTest, EveryDdlUnitRunsItsAstLikeItsText) {
+  SetUpCluster(8);
+  // Every non-SELECT, non-DML kind the rewriter's default branch receives,
+  // replayed in order so each one finds the table state it needs.
+  const std::vector<std::string> ddl = {
+      "CREATE TABLE t_user (uid BIGINT PRIMARY KEY, name VARCHAR(64) NOT NULL, "
+      "age INT, score DOUBLE)",
+      "CREATE TABLE IF NOT EXISTS t_user (uid BIGINT PRIMARY KEY)",
+      "CREATE INDEX idx_user_age ON t_user (age)",
+      "TRUNCATE TABLE t_user",
+      "DROP TABLE t_user",
+      "DROP TABLE IF EXISTS t_user",
+  };
+  std::vector<RewriteResult> rewritten;
+  for (const std::string& text : ddl) {
+    rewritten.push_back(Rewrite(text, {}));
+    ASSERT_EQ(rewritten.back().units.size(), 8u) << text;
+  }
+  for (size_t u = 0; u < 8; ++u) {
+    engine::StorageNode ast_node("ast");
+    engine::StorageNode text_node("text");
+    auto ast_session = ast_node.OpenSession();
+    auto text_session = text_node.OpenSession();
+    for (size_t k = 0; k < rewritten.size(); ++k) {
+      const SQLUnit& unit = rewritten[k].units[u];
+      ASSERT_NE(unit.stmt, nullptr) << ddl[k];
+      ASSERT_FALSE(unit.sql.empty()) << ddl[k];
+      Outcome via_text = Capture(text_session->Execute(unit.sql, unit.params));
+      Outcome via_ast =
+          Capture(ast_session->ExecuteStatement(*unit.stmt, unit.params));
+      ASSERT_TRUE(via_text.ok) << unit.sql << ": " << via_text.error;
+      ExpectSameOutcome(via_text, via_ast, unit.sql);
+      EXPECT_EQ(DescribeSchema(&ast_node), DescribeSchema(&text_node))
+          << unit.sql;
+      if (k == 0) {
+        // Rows for TRUNCATE to remove and CREATE INDEX to cover.
+        const auto& create =
+            static_cast<const sql::CreateTableStatement&>(*unit.stmt);
+        std::string insert = "INSERT INTO " + create.table +
+                             " (uid, name, age, score) VALUES "
+                             "(1, 'a', 20, 1.5), (2, 'b', 21, 2.5)";
+        ASSERT_TRUE(ast_session->Execute(insert).ok());
+        ASSERT_TRUE(text_session->Execute(insert).ok());
+      }
+    }
+    EXPECT_TRUE(ast_node.database()->TableNames().empty());
+  }
+}
+
 // ---------- Wire price: the AST path charges exactly the text path ----------
 
-/// Runs every unit of `rewritten` through both RemoteConnection entries on the
-/// same pooled connection and checks the modeled bytes, the message count and
-/// the returned labels/rows/errors match unit by unit.
+/// Runs every unit of `rewritten` through RemoteConnection::ExecuteStatement
+/// and checks the modeled bytes against the real encoders: the request packet
+/// EncodeQuery builds for the unit's text plus the response packet that
+/// encoding the same statement's result (or error) produces. The decoded
+/// response is also the reference for the returned labels/rows/errors.
 void ExpectWireIdentity(TestCluster* cluster, const RewriteResult& rewritten,
                         size_t want_units, bool want_ok,
                         const std::string& what) {
   ASSERT_EQ(rewritten.units.size(), want_units) << what;
   const net::LatencyModel& wire = cluster->runtime()->network();
-  for (bool pooled : {true, false}) {
-    engine::ScopedPooledBatches lane(pooled);
-    for (const SQLUnit& unit : rewritten.units) {
-      ASSERT_NE(unit.stmt, nullptr) << what;
-      net::DataSource* ds =
-          cluster->runtime()->data_sources()->Find(unit.data_source);
-      ASSERT_NE(ds, nullptr);
-      net::ConnectionPool::Lease lease = ds->pool().Acquire();
+  for (const SQLUnit& unit : rewritten.units) {
+    ASSERT_NE(unit.stmt, nullptr) << what;
+    net::DataSource* ds =
+        cluster->runtime()->data_sources()->Find(unit.data_source);
+    ASSERT_NE(ds, nullptr);
 
-      int64_t bytes0 = wire.bytes_transferred();
-      int64_t msgs0 = wire.messages();
-      Outcome text = Capture(lease->Execute(unit.sql, unit.params));
-      int64_t text_bytes = wire.bytes_transferred() - bytes0;
-      int64_t text_msgs = wire.messages() - msgs0;
+    auto session = ds->node()->OpenSession();
+    Result<engine::ExecResult> ref = session->Execute(unit.sql, unit.params);
+    std::string response = ref.ok() ? net::EncodeExecResult(&ref.value())
+                                    : net::EncodeError(ref.status());
+    const int64_t want_bytes = static_cast<int64_t>(
+        net::EncodeQuery(unit.sql, unit.params).size() + response.size());
+    Outcome text = Capture(net::DecodeResponse(response));
 
-      bytes0 = wire.bytes_transferred();
-      msgs0 = wire.messages();
-      Outcome ast = Capture(
-          lease->ExecuteStatement(*unit.stmt, unit.sql, unit.params));
-      int64_t ast_bytes = wire.bytes_transferred() - bytes0;
-      int64_t ast_msgs = wire.messages() - msgs0;
+    net::ConnectionPool::Lease lease = ds->pool().Acquire();
+    int64_t bytes0 = wire.bytes_transferred();
+    int64_t msgs0 = wire.messages();
+    Outcome ast =
+        Capture(lease->ExecuteStatement(*unit.stmt, unit.sql, unit.params));
+    int64_t ast_bytes = wire.bytes_transferred() - bytes0;
+    int64_t ast_msgs = wire.messages() - msgs0;
 
-      EXPECT_EQ(text.ok, want_ok) << what << ": " << text.error;
-      EXPECT_EQ(ast_bytes, text_bytes) << what << " pooled=" << pooled;
-      EXPECT_EQ(ast_msgs, text_msgs) << what << " pooled=" << pooled;
-      EXPECT_EQ(ast_msgs, 2) << what;
-      ExpectSameOutcome(text, ast, what);
-    }
+    EXPECT_EQ(text.ok, want_ok) << what << ": " << text.error;
+    EXPECT_EQ(ast_bytes, want_bytes) << what;
+    EXPECT_EQ(ast_msgs, 2) << what;
+    ExpectSameOutcome(text, ast, what);
   }
 }
 

@@ -309,9 +309,9 @@ TEST_F(DistSQLTest, TraceShowsSpanTreeWithPerUnitFanOut) {
 
 TEST_F(DistSQLTest, TraceWorksWhenObservabilityDisabled) {
   // TRACE force-captures: the statement scope joins the installed trace even
-  // with the sampler off, so explicit traces keep working when the global
-  // knob is disabled.
-  engine::ScopedObservability off(false);
+  // with sampling interval 0 (observability off), so explicit traces keep
+  // working.
+  engine::ScopedTraceSampling off(0);
   Exec("CREATE SHARDING TABLE RULE plain (RESOURCES(ds_0), "
        "SHARDING_COLUMN=id, TYPE=mod, PROPERTIES(\"sharding-count\"=1))");
   Exec("CREATE TABLE plain (id INT PRIMARY KEY)");

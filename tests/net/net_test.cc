@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "common/metrics.h"
+#include "engine/pipeline.h"
 #include "net/packet.h"
 #include "net/pool.h"
 #include "net/remote.h"
@@ -96,6 +97,69 @@ TEST(PacketTest, SizeMirrorsMatchEncoders) {
   ASSERT_TRUE(query_size.has_value());  // VectorResultSet is materialized
   engine::ExecResult drained = make_query_result();
   EXPECT_EQ(EncodeExecResult(&drained).size(), *query_size);
+}
+
+// Every result shape a proxy statement script produces (NULL, double and
+// empty-string cells, an empty result, a cursor spanning several pipeline
+// batches, update counts, an error) must price and round-trip exactly on the
+// encoded wire: the in-process lanes charge the size mirrors and never run
+// the encoders themselves.
+TEST(PacketTest, ProxyResultShapesPriceAndRoundTrip) {
+  struct Shape {
+    const char* what;
+    bool is_query;
+    std::vector<std::string> labels;
+    std::vector<Row> rows;
+    int64_t affected = 0;
+    int64_t last_insert_id = 0;
+  };
+  std::vector<Row> many;
+  for (int i = 0; i < 5 * static_cast<int>(engine::PipelineConfig::batch_size()) / 2;
+       ++i) {
+    many.push_back({Value(i), Value("row" + std::to_string(i))});
+  }
+  const std::vector<Shape> shapes = {
+      {"null cell", true, {"name"}, {{Value::Null()}}},
+      {"double cell", true, {"AVG(score)"}, {{Value(2.75)}, {Value(-0.125)}}},
+      {"empty string cell", true, {"name"}, {{Value("")}}},
+      {"empty result", true, {"uid"}, {}},
+      {"multi-batch cursor", true, {"uid", "name"}, many},
+      {"update count", false, {}, {}, 3, 0},
+      {"insert id", false, {}, {}, 1, 42},
+  };
+  auto make = [](const Shape& shape) {
+    if (!shape.is_query) {
+      return engine::ExecResult::Update(shape.affected, shape.last_insert_id);
+    }
+    return engine::ExecResult::Query(std::make_unique<engine::VectorResultSet>(
+        shape.labels, shape.rows));
+  };
+  for (const Shape& shape : shapes) {
+    engine::ExecResult priced = make(shape);
+    std::optional<size_t> size = TryEncodedExecResultSize(priced);
+    ASSERT_TRUE(size.has_value()) << shape.what;
+    engine::ExecResult encoded_result = make(shape);
+    std::string encoded = EncodeExecResult(&encoded_result);
+    EXPECT_EQ(encoded.size(), *size) << shape.what;
+    auto decoded = DecodeResponse(encoded);
+    ASSERT_TRUE(decoded.ok()) << shape.what;
+    ASSERT_EQ(decoded->is_query, shape.is_query) << shape.what;
+    if (shape.is_query) {
+      EXPECT_EQ(decoded->result_set->columns(), shape.labels) << shape.what;
+      EXPECT_EQ(engine::DrainResultSet(decoded->result_set.get()), shape.rows)
+          << shape.what;
+    } else {
+      EXPECT_EQ(decoded->affected_rows, shape.affected) << shape.what;
+      EXPECT_EQ(decoded->last_insert_id, shape.last_insert_id) << shape.what;
+    }
+  }
+  Status err = Status::NotFound("table nope");
+  std::string encoded = EncodeError(err);
+  EXPECT_EQ(encoded.size(), EncodedErrorSize(err));
+  auto decoded = DecodeResponse(encoded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), err.code());
+  EXPECT_EQ(decoded.status().message(), err.message());
 }
 
 TEST(PacketTest, UpdateResultRoundTrip) {

@@ -55,6 +55,11 @@ to *exercise* the machinery, e.g. the lockdep tests spawn raw threads):
                    ExecuteSQL, no pool Acquire. A blocked reactor call
                    stalls every session behind it; hand the work to the
                    statement queue instead.
+  knob-budget      engine::PipelineConfig (src/engine/pipeline.h) may
+                   declare at most PIPELINE_KNOB_BUDGET static atomics.
+                   Each pipeline stage has one lane (ROADMAP aim 2): a new
+                   process-global switch must retire an old one, or go in
+                   as an explicit per-runtime option instead.
 
 Exemption marker: a comment `analyze-exempt(<rule>): <reason>` on the
 flagged line or the line directly above suppresses that rule there. The
@@ -129,6 +134,12 @@ REACTOR_MARK_RE = re.compile(r"\breactor-context\b")
 REACTOR_BLOCKING_RE = re.compile(
     r"\b(Wait|WaitFor|WaitUntil|Transfer|SleepMicros|ExecuteSQL|"
     r"Acquire|AcquireMany)\s*\(")
+# knob-budget: the process-global knob count of engine::PipelineConfig.
+PIPELINE_KNOB_BUDGET = 8
+PIPELINE_FILE = os.path.join("src", "engine", "pipeline.h")
+PIPELINE_CLASS_RE = re.compile(r"^\s*class\s+PipelineConfig\b[^;]*$")
+STATIC_ATOMIC_RE = re.compile(r"^\s*static\s+std::atomic\s*<")
+
 RAW_THREAD_EXEMPT_FILES = (
     os.path.join("src", "common", "thread_pool.h"),
     os.path.join("src", "common", "thread_pool.cc"),
@@ -580,6 +591,29 @@ def check_raw_thread(rel, text, exempts, findings):
                 "with the reason this must be a dedicated thread)"))
 
 
+def check_knob_budget(rel, text, exempts, findings):
+    if rel != PIPELINE_FILE:
+        return
+    class_line, count = 0, 0
+    for line_no, line in enumerate(text.split("\n"), 1):
+        if class_line == 0:
+            if PIPELINE_CLASS_RE.search(line):
+                class_line = line_no
+            continue
+        if line.startswith("};"):
+            break
+        if STATIC_ATOMIC_RE.search(line):
+            count += 1
+    if count > PIPELINE_KNOB_BUDGET and not is_exempt(
+            exempts, "knob-budget", class_line):
+        findings.append(Finding(
+            rel, class_line, "knob-budget",
+            "PipelineConfig declares %d static atomics, over the budget of "
+            "%d: each pipeline stage has one lane (ROADMAP aim 2), so retire "
+            "a baseline switch or make the choice a per-runtime option"
+            % (count, PIPELINE_KNOB_BUDGET)))
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -610,6 +644,7 @@ def analyze_file(root, rel, index, findings):
     check_version_chain(rel, text, exempts, findings)
     check_reactor_blocking(rel, raw, text, exempts, findings)
     check_raw_thread(rel, text, exempts, findings)
+    check_knob_budget(rel, text, exempts, findings)
 
 
 def main():

@@ -15,7 +15,7 @@ a fresh smoke run, on two axes:
     memory-discipline layer has regressed and the gate fails.
   - observability overhead: within the committed baseline itself,
     BM_ObservabilityOverhead/1 (tracing on, default sampling) must stay
-    within OBS_OVERHEAD_LIMIT of BM_ObservabilityOverhead/0 (knob off).
+    within OBS_OVERHEAD_LIMIT of BM_ObservabilityOverhead/0 (sampling interval 0).
     This is deterministic — both numbers come from the same committed run on
     the same machine — so a chatty span or an always-on sampler cannot land
     behind smoke-run variance.
@@ -81,7 +81,7 @@ RWMIX_ALLOC_CEILING = 16.0   # allocs/query on the 0-writer (pure read) points
 ALLOC_SLACK = 4.0
 
 # Observability gate: tracing at the default sampling interval may cost at
-# most this fraction of the knob-off throughput (DESIGN.md §13).
+# most this fraction of the sampling-interval-0 throughput (DESIGN.md §13).
 OBS_OFF = "BM_ObservabilityOverhead/0"
 OBS_ON = "BM_ObservabilityOverhead/1"
 OBS_OVERHEAD_LIMIT = 0.05
@@ -304,7 +304,7 @@ def main(argv):
     if obs_off <= 0 or obs_on < obs_off * (1.0 - OBS_OVERHEAD_LIMIT):
         overhead = (100.0 * (1.0 - obs_on / obs_off)) if obs_off > 0 else 100.0
         print(f"bench_check: OBSERVABILITY REGRESSION: tracing on costs "
-              f"{overhead:.1f}% of knob-off throughput "
+              f"{overhead:.1f}% of sampling-interval-0 throughput "
               f"({obs_on:.3g} vs {obs_off:.3g} ops/s, "
               f"limit {100 * OBS_OVERHEAD_LIMIT:.0f}%)")
         return 1
