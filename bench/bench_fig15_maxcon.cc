@@ -32,7 +32,6 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
-#include "engine/pipeline.h"
 
 using namespace sphere;            // NOLINT
 using namespace sphere::benchlib;  // NOLINT
@@ -80,9 +79,6 @@ Windows BenchWindows() {
 /// so thousands of sessions cost heap entries.
 LaneResult RunReactorPoint(SphereCluster* cluster, int target_sessions,
                            int table_size) {
-  engine::ScopedProxyMultiplexing multiplexed(true);
-  engine::ScopedProxyFrontEnd knobs(kMaxConnections, kWorkers, kQueueDepth);
-
   LaneResult out;
   out.name = "maxcon/sessions:" + std::to_string(target_sessions);
   out.lane = "reactor";
@@ -104,7 +100,10 @@ LaneResult RunReactorPoint(SphereCluster* cluster, int target_sessions,
   bool stop = false;
 
   const net::LatencyModel* net = &cluster->data_source()->runtime()->network();
-  adaptor::ShardingProxy proxy(cluster->data_source(), net);
+  adaptor::ShardingProxy proxy(
+      cluster->data_source(), net,
+      {.worker_threads = kWorkers, .queue_depth = kQueueDepth});
+  proxy.set_max_connections(kMaxConnections);
   proxy.set_queue_deadline_ms(kQueueDeadlineMs);
 
   std::vector<std::unique_ptr<adaptor::ShardingProxy::Connection>> sessions;
@@ -229,16 +228,17 @@ LaneResult RunReactorPoint(SphereCluster* cluster, int target_sessions,
 /// does not scale.
 LaneResult RunBlockingPoint(SphereCluster* cluster, int target_sessions,
                             int table_size) {
-  engine::ScopedProxyMultiplexing blocking(false);
-  engine::ScopedProxyFrontEnd knobs(kMaxConnections, kWorkers, kQueueDepth);
-
   LaneResult out;
   out.name = "maxcon_blocking/sessions:" + std::to_string(target_sessions);
   out.lane = "blocking";
   out.sessions = target_sessions;
 
   adaptor::ShardingProxy proxy(cluster->data_source(),
-                               &cluster->data_source()->runtime()->network());
+                               &cluster->data_source()->runtime()->network(),
+                               {.worker_threads = kWorkers,
+                                .queue_depth = kQueueDepth,
+                                .multiplexing = false});
+  proxy.set_max_connections(kMaxConnections);
   Histogram latency;
   std::atomic<bool> measuring{false};
   std::atomic<bool> stop{false};

@@ -48,7 +48,6 @@
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/table_printer.h"
-#include "engine/pipeline.h"
 #include "engine/storage_node.h"
 #include "storage/table.h"
 
@@ -91,7 +90,7 @@ Windows BenchWindows() {
 
 LaneResult RunPoint(engine::StorageNode* node, storage::Table* table,
                     engine::ConcurrencyControl mode, int writer_threads) {
-  engine::ScopedConcurrencyControl cc(mode);
+  node->set_concurrency_control(mode);
   const bool mvcc = mode == engine::ConcurrencyControl::kMvcc;
 
   LaneResult out;

@@ -17,7 +17,6 @@
 #include "common/arena.h"
 #include "common/thread_pool.h"
 #include "core/merge.h"
-#include "engine/pipeline.h"
 #include "engine/row_batch.h"
 #include "engine/topk.h"
 #include "core/rewrite.h"
@@ -168,9 +167,12 @@ BENCHMARK(BM_PoolAcquireManyVsSingle)->Arg(0)->Arg(1);
 /// Four zero-latency storage nodes attached to a runtime, sbtest MOD-sharded
 /// by id into 4 tables, one row per shard.
 struct MiniCluster {
-  explicit MiniCluster(size_t cache_capacity) {
+  explicit MiniCluster(size_t cache_capacity,
+                       uint32_t trace_sample_interval =
+                           core::RuntimeConfig().trace_sample_interval) {
     core::RuntimeConfig config;
     config.statement_cache_capacity = cache_capacity;
+    config.trace_sample_interval = trace_sample_interval;
     runtime = std::make_unique<core::ShardingRuntime>(
         config, net::NetworkConfig::Zero());
     for (int i = 0; i < 4; ++i) {
@@ -369,12 +371,10 @@ void BM_TopKVsSortTruncate(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKVsSortTruncate)->Arg(0)->Arg(1);
 
-/// End-to-end top-k ORDER BY LIMIT on one node: materializing baseline
-/// (Arg 0) vs the streaming scan cursor + bounded heap (Arg 1).
+/// End-to-end top-k ORDER BY LIMIT on one node: the streaming scan cursor
+/// feeds a bounded heap.
 void BM_TopKOrderBy(benchmark::State& state) {
   BigNode big(50000);
-  bool streaming = state.range(0) != 0;
-  engine::ScopedStreamingMode mode(streaming);
   for (auto _ : state) {
     auto r = big.session->Execute(
         "SELECT id, k FROM big ORDER BY k LIMIT 10", {});
@@ -383,18 +383,14 @@ void BM_TopKOrderBy(benchmark::State& state) {
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(streaming ? "streaming: scan cursor + bounded top-k heap"
-                           : "baseline: materialize all rows first");
+  state.SetLabel("streaming: scan cursor + bounded top-k heap");
 }
-BENCHMARK(BM_TopKOrderBy)->Arg(0)->Arg(1);
+BENCHMARK(BM_TopKOrderBy);
 
-/// Paginated SELECT with a large offset: the baseline projects every row and
-/// erases the front; the streaming path skips unprojected rows and stops at
-/// offset+count.
+/// Paginated SELECT with a large offset: the streaming path skips
+/// unprojected rows and stops at offset+count.
 void BM_PaginatedSelect(benchmark::State& state) {
   BigNode big(50000);
-  bool streaming = state.range(0) != 0;
-  engine::ScopedStreamingMode mode(streaming);
   for (auto _ : state) {
     auto r = big.session->Execute("SELECT id, c FROM big LIMIT 45000, 10", {});
     if (!r.ok()) std::abort();
@@ -403,10 +399,9 @@ void BM_PaginatedSelect(benchmark::State& state) {
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(streaming ? "streaming: skip offset unprojected, stop at 45010"
-                           : "baseline: project 50000 rows, erase 45000");
+  state.SetLabel("streaming: skip offset unprojected, stop at 45010");
 }
-BENCHMARK(BM_PaginatedSelect)->Arg(0)->Arg(1);
+BENCHMARK(BM_PaginatedSelect);
 
 // ---------- Write-path fast lane (DESIGN.md §10) ----------
 
@@ -544,10 +539,9 @@ BENCHMARK(BM_FanoutDrainAllocs);
 /// of Arg(0).
 void BM_ObservabilityOverhead(benchmark::State& state) {
   bool observability = state.range(0) != 0;
-  engine::ScopedTraceSampling sampling(
-      observability ? engine::PipelineConfig::kDefaultTraceSampleInterval
-                    : 0);
-  MiniCluster cluster(/*cache_capacity=*/2048);
+  const uint32_t interval =
+      observability ? core::RuntimeConfig().trace_sample_interval : 0;
+  MiniCluster cluster(/*cache_capacity=*/2048, interval);
   auto warm = cluster.runtime->Execute(kPointSQL);
   if (!warm.ok()) std::abort();
   for (auto _ : state) {
@@ -557,9 +551,7 @@ void BM_ObservabilityOverhead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(observability
                      ? "tracing on, default sampling (1/" +
-                           std::to_string(
-                               engine::PipelineConfig::kDefaultTraceSampleInterval) +
-                           ")"
+                           std::to_string(interval) + ")"
                      : "sampling interval 0: thread-local read only");
 }
 BENCHMARK(BM_ObservabilityOverhead)->Arg(0)->Arg(1);

@@ -7,7 +7,7 @@
 
 #include "common/mutex.h"
 #include "core/runtime.h"
-#include "engine/pipeline.h"
+#include "engine/result_set.h"
 #include "engine/row_batch.h"
 #include "distsql/distsql.h"
 #include "governor/config_manager.h"
@@ -87,15 +87,14 @@ class ShardingResultSet {
   ShardingResultSet& operator=(ShardingResultSet&&) = default;
 
   /// Advances to the next row; false at end. Rows are pulled from the merge
-  /// pipeline a batch at a time (engine::PipelineConfig::batch_size()), so
-  /// per-row cost is one buffer index, not a virtual call down the decorator
-  /// stack.
+  /// pipeline a batch at a time (engine::kBatchSize rows), so per-row cost
+  /// is one buffer index, not a virtual call down the decorator stack.
   bool Next() {
     if (pos_ >= buffer_.size()) {
       if (rs_ == nullptr) return false;
       buffer_.clear();
       pos_ = 0;
-      if (rs_->NextBatch(&buffer_, engine::PipelineConfig::batch_size()) == 0) {
+      if (rs_->NextBatch(&buffer_, engine::kBatchSize) == 0) {
         return false;
       }
     }

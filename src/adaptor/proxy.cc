@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/clock.h"
-#include "engine/pipeline.h"
 #include "features/guard.h"
 
 namespace sphere::adaptor {
@@ -35,11 +34,10 @@ metrics::Counter* StatementsShedTotal() {
   return c;
 }
 
-/// Worker-pool sizing: the knob, or hardware concurrency floored at 4 (the
+/// Worker-pool sizing: the option, or hardware concurrency floored at 4 (the
 /// workers mostly wait on simulated backend I/O, mirroring SharedThreadPool's
 /// rationale).
-size_t ResolveWorkerThreads() {
-  int n = engine::PipelineConfig::proxy_worker_threads();
+size_t ResolveWorkerThreads(int n) {
   if (n > 0) return static_cast<size_t>(n);
   // analyze-exempt(raw-thread): sizing query only; no thread is created.
   unsigned hw = std::thread::hardware_concurrency();
@@ -49,14 +47,14 @@ size_t ResolveWorkerThreads() {
 }  // namespace
 
 ShardingProxy::ShardingProxy(ShardingDataSource* backend,
-                             const net::LatencyModel* client_network)
+                             const net::LatencyModel* client_network,
+                             ProxyOptions options)
     : backend_(backend),
       client_network_(client_network),
-      multiplexing_(engine::PipelineConfig::proxy_multiplexing_enabled()),
-      queue_limit_(engine::PipelineConfig::proxy_queue_depth()),
+      multiplexing_(options.multiplexing),
+      queue_limit_(options.queue_depth == 0 ? 1 : options.queue_depth),
       queue_wait_hist_(
-          metrics::Registry::Instance().GetHistogram("proxy.queue_wait")),
-      max_connections_(engine::PipelineConfig::proxy_max_connections()) {
+          metrics::Registry::Instance().GetHistogram("proxy.queue_wait")) {
   auto& registry = metrics::Registry::Instance();
   registry.PublishProbe("proxy.workers_busy", this, [this] {
     return static_cast<int64_t>(workers_busy());
@@ -73,7 +71,7 @@ ShardingProxy::ShardingProxy(ShardingDataSource* backend,
     return static_cast<int64_t>(queue_.size());
   });
   if (multiplexing_) {
-    const size_t n = ResolveWorkerThreads();
+    const size_t n = ResolveWorkerThreads(options.worker_threads);
     workers_ = std::make_unique<ThreadPool>(n);
     for (size_t i = 0; i < n; ++i) {
       workers_->Submit([this] { WorkerLoop(); });

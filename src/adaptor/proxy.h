@@ -26,6 +26,22 @@ class RateThrottle;
 
 namespace sphere::adaptor {
 
+/// Front-end settings of one ShardingProxy (DESIGN.md §14), fixed at
+/// construction. MaxCon is not here: it is live, via set_max_connections.
+struct ProxyOptions {
+  /// Statement worker threads (0 = auto: hardware concurrency with a floor
+  /// of 4, matching SharedThreadPool's sizing rationale).
+  int worker_threads = 0;
+  /// Bound of the pending-statement queue; enqueue past it fails fast with
+  /// ResourceExhausted (statement-level backpressure). 0 counts as 1.
+  size_t queue_depth = 256;
+  /// The event-driven front end: statements are framed, decoded by the
+  /// reactor and executed by a fixed worker pool that multiplexes every
+  /// session. False selects the legacy blocking lane, which borrows the
+  /// client's thread per statement (the differential baseline).
+  bool multiplexing = true;
+};
+
 /// The proxy adaptor (paper's ShardingSphere-Proxy): a stand-alone server
 /// between applications and the data sources, speaking the simulated database
 /// wire protocol. Clients of any language connect to it like to a MySQL /
@@ -41,7 +57,7 @@ namespace sphere::adaptor {
 /// experiment, Fig. 15). Admission control caps concurrent sessions
 /// (MaxCon), a bounded statement queue rejects excess load fast, and a
 /// queue deadline sheds requests that waited too long to still matter.
-/// `PipelineConfig::proxy_multiplexing` restores the legacy
+/// `ProxyOptions::multiplexing = false` selects the legacy
 /// thread-per-statement lane as the differential baseline.
 ///
 /// The proxy shares one ShardingDataSource backend, so all client connections
@@ -53,7 +69,8 @@ class ShardingProxy {
   /// `proxy.statements.queued` gauge probes for its lifetime (last proxy
   /// wins if several coexist, as in capacity tests).
   ShardingProxy(ShardingDataSource* backend,
-                const net::LatencyModel* client_network);
+                const net::LatencyModel* client_network,
+                ProxyOptions options = {});
   ~ShardingProxy();
 
   ShardingProxy(const ShardingProxy&) = delete;
@@ -216,7 +233,6 @@ class ShardingProxy {
   int worker_slots_held() const SPHERE_EXCLUDES(worker_mu_);
   int sessions_active() const SPHERE_EXCLUDES(admission_mu_);
   bool multiplexing() const { return multiplexing_; }
-  size_t queue_depth_limit() const { return queue_limit_; }
 
  private:
   friend class Connection;
@@ -276,9 +292,9 @@ class ShardingProxy {
   ShardingDataSource* const backend_;
   const net::LatencyModel* client_network_;
 
-  /// Snapshot of PipelineConfig::proxy_multiplexing at construction.
+  /// ProxyOptions::multiplexing.
   const bool multiplexing_;
-  /// Statement queue bound (PipelineConfig::proxy_queue_depth snapshot).
+  /// Statement queue bound (ProxyOptions::queue_depth, at least 1).
   const size_t queue_limit_;
 
   std::atomic<features::CircuitBreaker*> breaker_{nullptr};
@@ -304,7 +320,7 @@ class ShardingProxy {
   // --- session admission (MaxCon) ---------------------------------------
   mutable Mutex admission_mu_{LockRank::kAdaptor, "adaptor/proxy.admission"};
   CondVar admission_cv_;
-  int max_connections_ SPHERE_GUARDED_BY(admission_mu_);  ///< 0 = unlimited
+  int max_connections_ SPHERE_GUARDED_BY(admission_mu_) = 0;  ///< 0 = unlimited
   int sessions_active_ SPHERE_GUARDED_BY(admission_mu_) = 0;
   int admission_waiters_ SPHERE_GUARDED_BY(admission_mu_) = 0;
   int admission_queue_limit_ SPHERE_GUARDED_BY(admission_mu_) = 64;

@@ -1,5 +1,6 @@
 #include "common/trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -14,8 +15,8 @@ namespace {
 thread_local Trace* g_current_trace = nullptr;
 thread_local Span* g_current_span = nullptr;
 /// Nesting depth of StatementTraceScopes on this thread, so only the
-/// outermost one opens a "statement" span (ExecutePlan re-enters
-/// ExecuteStatement on the same thread).
+/// outermost one samples and opens a "statement" span (Execute re-enters
+/// ExecutePlan and ExecuteStatement on the same thread).
 thread_local int g_statement_depth = 0;
 
 std::atomic<TraceSink*> g_sink{nullptr};
@@ -25,24 +26,37 @@ std::atomic<TraceSink*> g_sink{nullptr};
 /// thread instead of paying malloc on every sampled statement.
 thread_local std::unique_ptr<Trace> g_spare_trace;
 
-/// Per-thread countdown sampler: the thread's first eligible statement is
-/// sampled, then every `interval`-th after it. Thread-local on purpose — a
-/// shared counter would bounce a cache line between executor threads on
-/// every statement just to decide "no".
+/// Per-thread countdown sampler with one countdown per interval: each
+/// runtime passes its own interval, so runtimes that alternate on one thread
+/// each sample every `interval`-th of their own statements. A newly seen
+/// interval starts a full cycle (its first sample is its interval-th
+/// statement), so switching intervals never fires at once. Thread-local on
+/// purpose — a shared counter would bounce a cache line between executor
+/// threads on every statement just to decide "no".
 bool SamplerFires(uint32_t interval) {
   if (interval == 0) return false;
   if (interval == 1) return true;
-  thread_local uint32_t countdown = 0;
-  thread_local uint32_t last_interval = 0;
-  if (interval != last_interval) {  // knob changed; restart the cycle
-    last_interval = interval;
-    countdown = 0;
+  struct Slot {
+    uint32_t interval = 0;
+    uint32_t countdown = 0;
+  };
+  // A few distinct intervals per thread; past that the oldest slot is reused.
+  constexpr size_t kSlots = 4;
+  thread_local Slot slots[kSlots];
+  thread_local size_t oldest = 0;
+  Slot* slot = std::find_if(slots, slots + kSlots, [interval](const Slot& s) {
+    return s.interval == interval;
+  });
+  if (slot == slots + kSlots) {
+    slot = &slots[oldest];
+    oldest = (oldest + 1) % kSlots;
+    *slot = Slot{interval, interval - 1};
   }
-  if (countdown == 0) {
-    countdown = interval - 1;
+  if (slot->countdown == 0) {
+    slot->countdown = interval - 1;
     return true;
   }
-  --countdown;
+  --slot->countdown;
   return false;
 }
 
@@ -204,20 +218,21 @@ void NotifySink(const Trace& trace) {
 }
 
 StatementTraceScope::StatementTraceScope(uint32_t sample_interval) {
+  const bool outermost = g_statement_depth == 0;
+  ++g_statement_depth;
   Trace* cur = g_current_trace;
   if (cur != nullptr) {
     // Joining a forced (TRACE ...) or outer statement trace.
-    if (g_statement_depth == 0) {
+    if (outermost) {
       trace_ = cur;
       prev_ = g_current_span;
       span_ = cur->StartSpan(prev_, "statement");
       g_current_span = span_;
     }
-    ++g_statement_depth;
-    joined_ = true;
     return;
   }
-  if (!SamplerFires(sample_interval)) return;
+  // One sampling decision per statement: only the outermost scope asks.
+  if (!outermost || !SamplerFires(sample_interval)) return;
   if (g_spare_trace != nullptr) {
     owned_ = std::move(g_spare_trace);
     owned_->ResetForReuse("statement");
@@ -228,22 +243,20 @@ StatementTraceScope::StatementTraceScope(uint32_t sample_interval) {
   span_ = trace_->root();
   g_current_trace = trace_;
   g_current_span = span_;
-  g_statement_depth = 1;
 }
 
 StatementTraceScope::~StatementTraceScope() {
+  --g_statement_depth;
   if (owned_ != nullptr) {
     trace_->EndSpan(span_);
     g_current_trace = nullptr;
     g_current_span = nullptr;
-    g_statement_depth = 0;
     NotifySink(*owned_);
     // Park the trace for the thread's next sampled statement; the sink is
     // done with it (OnTraceComplete is synchronous).
     g_spare_trace = std::move(owned_);
     return;
   }
-  if (joined_) --g_statement_depth;
   if (span_ != nullptr) {
     trace_->EndSpan(span_);
     g_current_span = prev_;

@@ -140,13 +140,15 @@ TraceSink* SetTraceSink(TraceSink* sink);
 void NotifySink(const Trace& trace);
 
 /// Statement-level driver used by the runtime around each statement:
-///  - no trace current + sampler fires → owns a fresh trace for this
-///    statement (root span "statement"), uninstalls + notifies the sink on
-///    exit;
+///  - outermost scope, no trace current + sampler fires → owns a fresh trace
+///    for this statement (root span "statement"), uninstalls + notifies the
+///    sink on exit;
 ///  - a trace is already current (TRACE ... or an outer statement scope) →
 ///    joins it, opening a "statement" span only at the outermost level;
 ///  - otherwise a no-op.
-/// `sample_interval` 0 never samples, 1 samples everything, N every Nth.
+/// `sample_interval` 0 never samples, 1 samples everything, N every Nth
+/// statement; nested scopes never consult the sampler, so a statement is one
+/// sampling decision however many scopes it opens.
 class StatementTraceScope {
  public:
   explicit StatementTraceScope(uint32_t sample_interval);
@@ -164,7 +166,6 @@ class StatementTraceScope {
   Trace* trace_ = nullptr;
   Span* span_ = nullptr;
   Span* prev_ = nullptr;
-  bool joined_ = false;
 };
 
 /// Renders a finished trace as a fixed-width table (TablePrinter): one row

@@ -6,7 +6,6 @@
 
 #include "common/hash.h"
 #include "common/strings.h"
-#include "engine/pipeline.h"
 #include "engine/row_batch.h"
 #include "engine/row_dedup.h"
 
@@ -258,8 +257,7 @@ class BufferedCursor {
     if (pos_ >= buffer_.size()) {
       buffer_.clear();
       pos_ = 0;
-      if (source_->NextBatch(&buffer_, engine::PipelineConfig::batch_size()) ==
-          0) {
+      if (source_->NextBatch(&buffer_, engine::kBatchSize) == 0) {
         return nullptr;
       }
     }
@@ -448,7 +446,7 @@ class LimitDecoratorResult : public ResultSet {
       scratch.out()->clear();
       size_t want =
           std::min(static_cast<size_t>(limit_.offset - skipped_),
-                   engine::PipelineConfig::batch_size());
+                   engine::kBatchSize);
       size_t n = inner_->NextBatch(scratch.out(), want);
       if (n == 0) return false;
       skipped_ += static_cast<int64_t>(n);
@@ -655,7 +653,7 @@ Result<engine::ExecResult> MergeEngine::Merge(
       for (auto& src : sources) {
         for (;;) {
           batch.clear();
-          if (src->NextBatch(&batch, engine::PipelineConfig::batch_size()) == 0) {
+          if (src->NextBatch(&batch, engine::kBatchSize) == 0) {
             break;
           }
           for (Row& row : batch) {

@@ -4,7 +4,6 @@
 #include "common/strings.h"
 #include "common/trace.h"
 #include "core/hint.h"
-#include "engine/pipeline.h"
 
 namespace sphere::core {
 
@@ -82,8 +81,7 @@ Result<engine::ExecResult> ShardingRuntime::ExecuteStatement(
   // Span tree for this statement: joins a forced (TRACE) or sampled outer
   // trace, samples a fresh one, or no-ops (DESIGN.md §13). Span storage is
   // trace-owned — never the statement arena below, which is reset on return.
-  trace::StatementTraceScope tscope(
-      engine::PipelineConfig::trace_sample_interval());
+  trace::StatementTraceScope tscope(config_.trace_sample_interval);
   if (tscope.active()) {
     tscope.Note("kind", std::string(sql::StatementKindName(stmt.kind())));
   }
@@ -168,8 +166,7 @@ Result<engine::ExecResult> ShardingRuntime::Execute(std::string_view sql_text,
                                                     std::vector<Value> params) {
   // Opened here (not in ExecutePlan) so the parse/cache-lookup stage lands
   // inside the statement span; inner scopes join this one.
-  trace::StatementTraceScope tscope(
-      engine::PipelineConfig::trace_sample_interval());
+  trace::StatementTraceScope tscope(config_.trace_sample_interval);
   SPHERE_ASSIGN_OR_RETURN(std::shared_ptr<const StatementPlan> plan,
                           GetOrParse(sql_text));
   return ExecutePlan(*plan, std::move(params), nullptr);
@@ -224,8 +221,7 @@ Result<engine::ExecResult> ShardingRuntime::ExecutePlan(
                             observer);
   }
 
-  trace::StatementTraceScope tscope(
-      engine::PipelineConfig::trace_sample_interval());
+  trace::StatementTraceScope tscope(config_.trace_sample_interval);
 
   ArenaScope arena_scope(true);
 

@@ -2,6 +2,7 @@
 #define SPHERE_CORE_RUNTIME_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +59,13 @@ struct RuntimeConfig {
   sql::DialectType dialect = sql::DialectType::kMySQL;
   /// SQL parse/plan cache entries kept per runtime (0 disables caching).
   size_t statement_cache_capacity = 2048;
+  /// Trace sampling (DESIGN.md §13): every Nth statement grows a span tree
+  /// that feeds the stage-latency histograms. 1 traces everything (tests); 0
+  /// never samples, the observability-off setting: counters stay on and
+  /// DistSQL `TRACE <sql>` still works. The default amortizes the span
+  /// tree's cost to ~2% of a point select, inside BM_ObservabilityOverhead's
+  /// 5% gate.
+  uint32_t trace_sample_interval = 128;
 };
 
 /// The assembled SQL engine: parser -> router -> rewriter -> executor ->

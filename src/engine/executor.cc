@@ -7,9 +7,9 @@
 #include <unordered_map>
 
 #include "common/strings.h"
-#include "engine/pipeline.h"
 #include "engine/row_batch.h"
 #include "engine/row_dedup.h"
+#include "engine/storage_node.h"
 #include "engine/topk.h"
 #include "sql/condition.h"
 #include "sql/dialect.h"
@@ -343,8 +343,7 @@ Result<Executor::SourceRows> Executor::ScanTable(
   // lanes (view_override) keep the blocking reader section — their caller
   // re-checks every row under the writer latch anyway.
   const bool self_latch =
-      view_override == nullptr &&
-      PipelineConfig::concurrency_control() == ConcurrencyControl::kMvcc;
+      view_override == nullptr && mvcc();
   storage::ReadView view = view_override != nullptr ? *view_override
                                                     : read_view_;
   OptionalReaderLock lk(self_latch ? nullptr : &plan.table->latch());
@@ -415,8 +414,7 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
       // Same latch profile as the row stream below: mvcc self-latches per
       // batch against the statement snapshot; latch mode holds one shared
       // section across the whole fold.
-      const bool self_latch =
-          PipelineConfig::concurrency_control() == ConcurrencyControl::kMvcc;
+      const bool self_latch = mvcc();
       OptionalReaderLock lk(self_latch ? nullptr : &table->latch());
       TableScanCursor cursor(plan, read_view_, self_latch);
       for (const Row* row = cursor.Next(); row != nullptr;
@@ -508,8 +506,7 @@ Result<std::optional<ExecResult>> Executor::TryStreamSelect(
     // against the statement snapshot — writers never wait for this drain.
     // latch: one shared section across the whole drain, the blocking
     // baseline profile (identical results, old latch behaviour).
-    const bool self_latch =
-        PipelineConfig::concurrency_control() == ConcurrencyControl::kMvcc;
+    const bool self_latch = mvcc();
     OptionalReaderLock lk(self_latch ? nullptr : &table->latch());
     TableScanCursor cursor(plan, read_view_, self_latch);
     if (order == OrderMode::kTopK) {
@@ -756,11 +753,9 @@ Result<Executor::SourceRows> Executor::BuildSource(
 
 Result<ExecResult> Executor::ExecuteSelect(const sql::SelectStatement& stmt,
                                            const std::vector<Value>& params) {
-  if (PipelineConfig::streaming_enabled()) {
-    SPHERE_ASSIGN_OR_RETURN(std::optional<ExecResult> streamed,
-                            TryStreamSelect(stmt, params));
-    if (streamed.has_value()) return std::move(*streamed);
-  }
+  SPHERE_ASSIGN_OR_RETURN(std::optional<ExecResult> streamed,
+                          TryStreamSelect(stmt, params));
+  if (streamed.has_value()) return std::move(*streamed);
 
   SPHERE_ASSIGN_OR_RETURN(SourceRows src, BuildSource(stmt, params));
   std::vector<std::string> labels = BuildLabels(stmt, src.columns);
@@ -1330,6 +1325,8 @@ void Executor::CommitAutoCommit(storage::Table* table,
   em->EndCommit(epoch);
 }
 
+bool Executor::mvcc() const { return cc_ == ConcurrencyControl::kMvcc; }
+
 Result<ExecResult> Executor::Execute(const sql::Statement& stmt,
                                      const std::vector<Value>& params,
                                      storage::Transaction* txn) {
@@ -1340,9 +1337,7 @@ Result<ExecResult> Executor::Execute(const sql::Statement& stmt,
   // committed state.
   if (txn != nullptr) {
     read_view_ = txn->view();
-  } else if (stmt.kind() == sql::StatementKind::kSelect &&
-             PipelineConfig::concurrency_control() ==
-                 ConcurrencyControl::kMvcc) {
+  } else if (stmt.kind() == sql::StatementKind::kSelect && mvcc()) {
     stmt_snapshot_ = storage::Snapshot(db_->epochs());
     read_view_ = stmt_snapshot_.view();
   } else {

@@ -14,6 +14,9 @@
 
 namespace sphere::engine {
 
+/// A storage node's read-path concurrency control; defined in storage_node.h.
+enum class ConcurrencyControl;
+
 /// Executes one parsed statement against a storage::Database — the SQL
 /// execution layer that makes every storage node a small standalone RDBMS.
 ///
@@ -25,8 +28,10 @@ namespace sphere::engine {
 /// use index scans.
 class Executor {
  public:
-  Executor(storage::Database* db, storage::TransactionManager* txn_manager)
-      : db_(db), txn_manager_(txn_manager) {}
+  /// `cc` is the owning node's read-path concurrency control.
+  Executor(storage::Database* db, storage::TransactionManager* txn_manager,
+           ConcurrencyControl cc)
+      : db_(db), txn_manager_(txn_manager), cc_(cc) {}
 
   /// Executes `stmt`. When `txn` is non-null, DML changes append undo records
   /// to it; otherwise each statement is atomic by itself (auto-commit).
@@ -85,8 +90,12 @@ class Executor {
   void CommitAutoCommit(storage::Table* table, const std::vector<Value>& pks,
                         int64_t writer);
 
+  /// True when reads self-latch against a pinned snapshot (kMvcc).
+  bool mvcc() const;
+
   storage::Database* db_;
   storage::TransactionManager* txn_manager_;
+  const ConcurrencyControl cc_;
   /// Snapshot view for this statement's reads: the transaction's Begin-time
   /// snapshot, a statement-scoped pin (auto-commit SELECT under mvcc), or
   /// latest-committed. Executor is constructed per statement, so these are

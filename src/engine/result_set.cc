@@ -1,7 +1,5 @@
 #include "engine/result_set.h"
 
-#include "engine/pipeline.h"
-
 namespace sphere::engine {
 
 size_t ResultSet::NextBatch(std::vector<Row>* out, size_t max) {
@@ -16,8 +14,7 @@ size_t ResultSet::NextBatch(std::vector<Row>* out, size_t max) {
 
 std::vector<Row> DrainResultSet(ResultSet* rs) {
   std::vector<Row> rows;
-  const size_t batch = PipelineConfig::batch_size();
-  while (rs->NextBatch(&rows, batch) > 0) {
+  while (rs->NextBatch(&rows, kBatchSize) > 0) {
   }
   return rows;
 }

@@ -13,6 +13,11 @@
 
 namespace sphere::engine {
 
+/// Rows moved per NextBatch call between pipeline stages (DESIGN.md §9):
+/// large enough to amortize a virtual call over many rows, small enough that
+/// LIMIT-terminated queries never pull much more than they emit.
+inline constexpr size_t kBatchSize = 256;
+
 /// Streaming cursor over query results. Both the local executor and the
 /// middleware's mergers speak this interface, so a merged multi-source result
 /// looks exactly like a single-node one (the property the paper's stream

@@ -103,7 +103,8 @@ Result<ExecResult> StorageNode::Session::ExecuteStatement(
       SPHERE_RETURN_NOT_OK(Rollback());
       return ExecResult::Update(0);
     default: {
-      Executor executor(&node_->db_, &node_->txn_manager_);
+      Executor executor(&node_->db_, &node_->txn_manager_,
+                        node_->concurrency_control());
       return executor.Execute(stmt, params, txn_);
     }
   }

@@ -19,6 +19,16 @@
 
 namespace sphere::engine {
 
+/// Concurrency-control choice for a node's read path (DESIGN.md §15). Both
+/// modes resolve rows against the same snapshot epoch, so results are
+/// identical; they differ only in how long readers hold the table latch:
+///  - kLatch: a scan holds the table's shared latch end to end (the pre-MVCC
+///    blocking profile — writers wait for the whole scan to drain).
+///  - kMvcc: the scan cursor takes the shared latch only in short bursts to
+///    navigate B+Tree structure, resolving row content from pinned version
+///    chains; writers interleave between bursts and never wait on row reads.
+enum class ConcurrencyControl { kLatch, kMvcc };
+
 /// One underlying "database server" (the paper's data source): catalog +
 /// transaction manager + SQL executor, addressed by name. Stands in for a
 /// MySQL/PostgreSQL instance; the middleware talks to it through sessions
@@ -114,6 +124,16 @@ class StorageNode {
   void set_statement_delay_us(int64_t us) { statement_delay_us_ = us; }
   int64_t statement_delay_us() const { return statement_delay_us_; }
 
+  /// Read-path concurrency control (default kMvcc). Live: each statement
+  /// reads the mode once when it starts, so switching between statements
+  /// (the latch-vs-mvcc differentials and the rwmix bench) is safe.
+  ConcurrencyControl concurrency_control() const {
+    return concurrency_control_.load(std::memory_order_relaxed);
+  }
+  void set_concurrency_control(ConcurrencyControl cc) {
+    concurrency_control_.store(cc, std::memory_order_relaxed);
+  }
+
   /// Caps how many delayed statements progress concurrently on this node
   /// (a disk-queue/worker-pool model; 0 = unlimited). Only the simulated
   /// delay is serialized, not the in-memory execution.
@@ -152,6 +172,7 @@ class StorageNode {
   // analyze-exempt(guarded-by): internally synchronized (striped atomics)
   metrics::Counter parse_cache_misses_;
   std::atomic<int64_t> statement_delay_us_{0};
+  std::atomic<ConcurrencyControl> concurrency_control_{ConcurrencyControl::kMvcc};
   Mutex io_mu_{LockRank::kEngine, "engine/storage_node.io"};
   CondVar io_cv_;
   int io_slots_ SPHERE_GUARDED_BY(io_mu_) = 0;  ///< 0 = unlimited

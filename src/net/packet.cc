@@ -176,7 +176,7 @@ std::string EncodeExecResult(engine::ExecResult* result) {
   for (const auto& c : cols) w.WriteString(c);
   // The row count precedes the rows in the wire layout, so the proxy must
   // buffer the whole result before encoding. DrainResultSet pulls it through
-  // the merge pipeline in moves of PipelineConfig::batch_size() rows.
+  // the merge pipeline in moves of engine::kBatchSize rows.
   std::vector<Row> rows = engine::DrainResultSet(result->result_set.get());
   w.WriteU32(static_cast<uint32_t>(rows.size()));
   for (const Row& row : rows) {

@@ -5,7 +5,6 @@
 #include "adaptor/jdbc.h"
 #include "adaptor/proxy.h"
 #include "common/clock.h"
-#include "engine/pipeline.h"
 
 namespace sphere::adaptor {
 namespace {
@@ -78,8 +77,7 @@ TEST(ProxyCapacityTest, WorkerSlotAccountingSurvivesCapacityToggles) {
   }
   // Legacy blocking lane: acquire/release run on the calling thread, so the
   // toggle windows below are deterministic.
-  engine::ScopedProxyMultiplexing off(false);
-  ShardingProxy proxy(&ds, &ds.runtime()->network());
+  ShardingProxy proxy(&ds, &ds.runtime()->network(), {.multiplexing = false});
   node.set_statement_delay_us(30000);
 
   // Case 1: slot taken under capacity 1, capacity zeroed mid-statement.

@@ -11,7 +11,6 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "engine/pipeline.h"
 #include "features/guard.h"
 
 namespace sphere::adaptor {
@@ -124,14 +123,14 @@ void RunDifferential() {
   std::vector<std::string> multiplexed;
   std::vector<std::string> blocking;
   {
-    engine::ScopedProxyMultiplexing on(true);
-    ShardingProxy proxy(a.ds.get(), &a.ds->runtime()->network());
+    ShardingProxy proxy(a.ds.get(), &a.ds->runtime()->network(),
+                        {.multiplexing = true});
     ASSERT_TRUE(proxy.multiplexing());
     multiplexed = RunScript(&proxy);
   }
   {
-    engine::ScopedProxyMultiplexing off(false);
-    ShardingProxy proxy(b.ds.get(), &b.ds->runtime()->network());
+    ShardingProxy proxy(b.ds.get(), &b.ds->runtime()->network(),
+                        {.multiplexing = false});
     ASSERT_FALSE(proxy.multiplexing());
     blocking = RunScript(&proxy);
   }
@@ -153,10 +152,9 @@ TEST(ProxyReactorTest, MultiplexedLaneMatchesBlockingLane) { RunDifferential(); 
 
 TEST(ProxyReactorTest, MaxConRejectsSessionsPastTheCap) {
   Cluster c = MakeCluster();
-  engine::ScopedProxyFrontEnd knobs(/*max_connections=*/2,
-                                    /*worker_threads=*/2,
-                                    /*queue_depth=*/16);
-  ShardingProxy proxy(c.ds.get(), &c.ds->runtime()->network());
+  ShardingProxy proxy(c.ds.get(), &c.ds->runtime()->network(),
+                      {.worker_threads = 2, .queue_depth = 16});
+  proxy.set_max_connections(2);
 
   auto c1 = proxy.Connect();
   auto c2 = proxy.Connect();
@@ -223,10 +221,8 @@ TEST(ProxyReactorTest, AdmissionQueueBoundRejectsImmediately) {
 
 TEST(ProxyReactorTest, BoundedStatementQueueExertsBackpressure) {
   Cluster c = MakeCluster();
-  engine::ScopedProxyFrontEnd knobs(/*max_connections=*/0,
-                                    /*worker_threads=*/1,
-                                    /*queue_depth=*/1);
-  ShardingProxy proxy(c.ds.get(), &c.ds->runtime()->network());
+  ShardingProxy proxy(c.ds.get(), &c.ds->runtime()->network(),
+                      {.worker_threads = 1, .queue_depth = 1});
   for (auto& node : c.nodes) node->set_statement_delay_us(30000);
 
   // 1 worker + queue depth 1: of 4 concurrent statements at most two are
@@ -254,10 +250,8 @@ TEST(ProxyReactorTest, BoundedStatementQueueExertsBackpressure) {
 
 TEST(ProxyReactorTest, QueueDeadlineShedsStaleStatements) {
   Cluster c = MakeCluster();
-  engine::ScopedProxyFrontEnd knobs(/*max_connections=*/0,
-                                    /*worker_threads=*/1,
-                                    /*queue_depth=*/16);
-  ShardingProxy proxy(c.ds.get(), &c.ds->runtime()->network());
+  ShardingProxy proxy(c.ds.get(), &c.ds->runtime()->network(),
+                      {.worker_threads = 1, .queue_depth = 16});
   proxy.set_queue_deadline_ms(5);
   for (auto& node : c.nodes) node->set_statement_delay_us(40000);
 
@@ -337,10 +331,8 @@ TEST(ProxyReactorTest, ThrottleRejectsPastTheTokenBucket) {
 
 TEST(ProxyReactorTest, QueueFullBackpressureFeedsTheBreaker) {
   Cluster c = MakeCluster();
-  engine::ScopedProxyFrontEnd knobs(/*max_connections=*/0,
-                                    /*worker_threads=*/1,
-                                    /*queue_depth=*/1);
-  ShardingProxy proxy(c.ds.get(), &c.ds->runtime()->network());
+  ShardingProxy proxy(c.ds.get(), &c.ds->runtime()->network(),
+                      {.worker_threads = 1, .queue_depth = 1});
   features::CircuitBreaker breaker(/*failure_threshold=*/1,
                                    /*open_duration_ms=*/60000);
   proxy.set_circuit_breaker(&breaker);

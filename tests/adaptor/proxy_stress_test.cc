@@ -9,7 +9,6 @@
 #include "adaptor/jdbc.h"
 #include "adaptor/proxy.h"
 #include "common/clock.h"
-#include "engine/pipeline.h"
 
 namespace sphere::adaptor {
 namespace {
@@ -37,10 +36,8 @@ class ProxySessionStressTest : public ::testing::Test {
 };
 
 TEST_F(ProxySessionStressTest, ManySessionsThroughFewWorkers) {
-  engine::ScopedProxyFrontEnd knobs(/*max_connections=*/0,
-                                    /*worker_threads=*/4,
-                                    /*queue_depth=*/64);
-  ShardingProxy proxy(ds_.get(), &ds_->runtime()->network());
+  ShardingProxy proxy(ds_.get(), &ds_->runtime()->network(),
+                      {.worker_threads = 4, .queue_depth = 64});
   node_->set_statement_delay_us(200);
 
   constexpr int kClients = 8;
@@ -70,10 +67,8 @@ TEST_F(ProxySessionStressTest, ManySessionsThroughFewWorkers) {
 }
 
 TEST_F(ProxySessionStressTest, CapacityTogglesRaceInFlightStatements) {
-  engine::ScopedProxyFrontEnd knobs(/*max_connections=*/0,
-                                    /*worker_threads=*/4,
-                                    /*queue_depth=*/64);
-  ShardingProxy proxy(ds_.get(), &ds_->runtime()->network());
+  ShardingProxy proxy(ds_.get(), &ds_->runtime()->network(),
+                      {.worker_threads = 4, .queue_depth = 64});
   node_->set_statement_delay_us(300);
 
   std::atomic<bool> stop{false};
@@ -110,10 +105,9 @@ TEST_F(ProxySessionStressTest, CapacityTogglesRaceInFlightStatements) {
 }
 
 TEST_F(ProxySessionStressTest, SessionChurnUnderMaxCon) {
-  engine::ScopedProxyFrontEnd knobs(/*max_connections=*/2,
-                                    /*worker_threads=*/4,
-                                    /*queue_depth=*/64);
-  ShardingProxy proxy(ds_.get(), &ds_->runtime()->network());
+  ShardingProxy proxy(ds_.get(), &ds_->runtime()->network(),
+                      {.worker_threads = 4, .queue_depth = 64});
+  proxy.set_max_connections(2);
   proxy.set_admission_wait_ms(50);
 
   std::atomic<int> served{0};
@@ -140,13 +134,11 @@ TEST_F(ProxySessionStressTest, SessionChurnUnderMaxCon) {
 TEST_F(ProxySessionStressTest, DestructionDrainsQueuedStatements) {
   // Sessions waiting on queued statements must all complete (not hang, not
   // crash) when the proxy shuts down concurrently with a full queue.
-  engine::ScopedProxyFrontEnd knobs(/*max_connections=*/0,
-                                    /*worker_threads=*/2,
-                                    /*queue_depth=*/64);
   node_->set_statement_delay_us(1000);
   std::atomic<int> finished{0};
   {
-    ShardingProxy proxy(ds_.get(), &ds_->runtime()->network());
+    ShardingProxy proxy(ds_.get(), &ds_->runtime()->network(),
+                        {.worker_threads = 2, .queue_depth = 64});
     std::vector<std::thread> threads;
     for (int t = 0; t < 6; ++t) {
       threads.emplace_back([&] {

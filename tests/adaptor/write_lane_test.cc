@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,31 +18,10 @@
 #include "common/strings.h"
 #include "engine/result_set.h"
 #include "storage/table.h"
+#include "tests/golden_file.h"
 
 namespace sphere::adaptor {
 namespace {
-
-/// Golden records keyed by script name: the text after each `== <name>`
-/// header line up to the next header. Lines starting with `#` before the
-/// first header are the file's description.
-const std::map<std::string, std::string>& Golden() {
-  static const std::map<std::string, std::string> records = [] {
-    std::map<std::string, std::string> out;
-    std::ifstream in(SPHERE_WRITE_LANE_GOLDEN);
-    EXPECT_TRUE(in.good()) << "cannot open " << SPHERE_WRITE_LANE_GOLDEN;
-    std::string line;
-    std::string* current = nullptr;
-    while (std::getline(in, line)) {
-      if (line.rfind("== ", 0) == 0) {
-        current = &out[line.substr(3)];
-      } else if (current != nullptr) {
-        *current += line + "\n";
-      }
-    }
-    return out;
-  }();
-  return records;
-}
 
 /// One step of a DML script. `sql` may be BEGIN/COMMIT/ROLLBACK; `may_fail`
 /// marks steps whose failure is part of the scenario (the golden record
@@ -173,9 +150,8 @@ class WriteLaneTest : public ::testing::Test {
     if (name.empty()) {
       name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
     }
-    auto it = Golden().find(name);
-    ASSERT_NE(it, Golden().end()) << "no golden record " << name;
-    EXPECT_EQ(Run(script).Serialize(), it->second) << name;
+    golden::ExpectMatchesRecord(SPHERE_WRITE_LANE_GOLDEN, name,
+                                Run(script).Serialize());
   }
 };
 

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/strings.h"
-#include "engine/pipeline.h"
 #include "tests/core/test_cluster.h"
 
 namespace sphere::core {
@@ -75,6 +75,11 @@ TEST_F(MergeStreamTest, StreamedEqualsRowAtATimeDrain) {
       "SELECT uid FROM t_user ORDER BY uid LIMIT 7, 9",
       "SELECT DISTINCT age FROM t_user ORDER BY age",
       "SELECT age, COUNT(*) FROM t_user GROUP BY age",
+      "SELECT uid, age FROM t_user ORDER BY age, uid",
+      "SELECT uid FROM t_user WHERE age > 22 ORDER BY uid LIMIT 5, 6",
+      "SELECT DISTINCT score FROM t_user ORDER BY score DESC",
+      "SELECT age, MIN(score), MAX(score) FROM t_user GROUP BY age",
+      "SELECT uid FROM t_user WHERE uid IN (1, 5, 9, 13, 26) ORDER BY uid DESC",
   };
   for (const auto& sql : catalog) {
     auto batched = Query(sql);
@@ -152,28 +157,82 @@ TEST_F(MergeStreamTest, AvgRecombinesAcrossShards) {
   EXPECT_NEAR(rows[0][0].ToDouble(), expected, 1e-9);
 }
 
-TEST_F(MergeStreamTest, RandomizedDifferentialAcrossBatchSizes) {
-  Rng rng(99);
-  const std::vector<std::string> catalog = {
-      "SELECT uid, age FROM t_user ORDER BY age, uid",
-      "SELECT uid FROM t_user WHERE age > 22 ORDER BY uid LIMIT 5, 6",
-      "SELECT DISTINCT score FROM t_user ORDER BY score DESC",
-      "SELECT age, MIN(score), MAX(score) FROM t_user GROUP BY age",
-      "SELECT uid FROM t_user WHERE uid IN (1, 5, 9, 13, 26) ORDER BY uid DESC",
-  };
-  for (const auto& sql : catalog) {
-    engine::PipelineConfig::set_batch_size(engine::PipelineConfig::kDefaultBatchSize);
-    auto reference = Query(sql);
-    for (int round = 0; round < 4; ++round) {
-      engine::PipelineConfig::set_batch_size(
-          static_cast<size_t>(rng.Uniform(1, 17)));
-      auto rows = Query(sql);
-      ASSERT_EQ(rows.size(), reference.size()) << sql;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        EXPECT_EQ(rows[i], reference[i]) << sql << " row " << i;
-      }
+/// The four shards hold kBatchSize-1, kBatchSize, kBatchSize+1 and
+/// 2*kBatchSize+1 rows, so each source's batches end before, on and after a
+/// boundary while the merge interleaves them. Every query is drained in
+/// NextBatch steps of 1, 3, 17 and kBatchSize; answers come from the data.
+TEST(MergeBatchBoundaryTest, PerShardRowCountsAroundBatchSize) {
+  TestCluster cluster(2);
+  ASSERT_TRUE(cluster.InstallModRule(4, /*bind=*/true).ok());
+  ASSERT_TRUE(cluster.CreateUserOrderSchemas().ok());
+  const int64_t b = static_cast<int64_t>(engine::kBatchSize);
+  const int64_t per_shard[4] = {b - 1, b, b + 1, 2 * b + 1};
+  std::vector<int64_t> uids;  // uid % 4 picks the shard
+  for (int64_t shard = 0; shard < 4; ++shard) {
+    for (int64_t j = 0; j < per_shard[shard]; ++j) uids.push_back(shard + 4 * j);
+  }
+  std::sort(uids.begin(), uids.end());
+  std::map<int64_t, int64_t> per_age;  // age = 20 + uid % 7
+  std::string insert;
+  for (size_t i = 0; i < uids.size(); ++i) {
+    ++per_age[20 + uids[i] % 7];
+    insert += StrFormat("%s(%d, 'u', %d, 0.5)", insert.empty() ? "" : ", ",
+                        static_cast<int>(uids[i]),
+                        static_cast<int>(20 + uids[i] % 7));
+    if (i % 64 == 63 || i + 1 == uids.size()) {
+      auto r = cluster.runtime()->Execute(
+          "INSERT INTO t_user (uid, name, age, score) VALUES " + insert);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      insert.clear();
     }
-    engine::PipelineConfig::set_batch_size(engine::PipelineConfig::kDefaultBatchSize);
+  }
+  for (int shard = 0; shard < 4; ++shard) {
+    ASSERT_EQ(cluster.RowsOn(shard % 2, "t_user_" + std::to_string(shard)),
+              static_cast<size_t>(per_shard[shard]));
+  }
+  const int64_t total = static_cast<int64_t>(uids.size());
+  // Rows of uids[first], uids[first + step], ... (up to `count`).
+  auto uid_rows = [&](int64_t first, int64_t count, int64_t step) {
+    std::vector<Row> rows;
+    for (int64_t i = first; i >= 0 && i < total &&
+                            static_cast<int64_t>(rows.size()) < count;
+         i += step) {
+      rows.push_back(Row{Value(uids[static_cast<size_t>(i)])});
+    }
+    return rows;
+  };
+  std::vector<Row> age_counts;
+  for (auto [age, count] : per_age) age_counts.push_back({Value(age), Value(count)});
+
+  for (size_t step : {size_t{1}, size_t{3}, size_t{17}, engine::kBatchSize}) {
+    SCOPED_TRACE("step=" + std::to_string(step));
+    auto query = [&](const std::string& sql) {
+      auto r = cluster.runtime()->Execute(sql);
+      std::vector<Row> rows;
+      EXPECT_TRUE(r.ok()) << r.status().ToString() << " for " << sql;
+      while (r.ok() && r->result_set->NextBatch(&rows, step) > 0) {
+      }
+      return rows;
+    };
+    EXPECT_EQ(query("SELECT uid FROM t_user ORDER BY uid"),
+              uid_rows(0, total, 1));
+    std::vector<Row> unordered = query("SELECT uid FROM t_user");
+    std::sort(unordered.begin(), unordered.end());
+    EXPECT_EQ(unordered, uid_rows(0, total, 1));
+    // Windows straddling the first and second batch boundaries and the end.
+    for (int64_t offset : {b - 2, b - 1, 2 * b - 1, total - 3}) {
+      EXPECT_EQ(query(StrFormat("SELECT uid FROM t_user ORDER BY uid LIMIT %d, 5",
+                                static_cast<int>(offset))),
+                uid_rows(offset, 5, 1));
+    }
+    EXPECT_EQ(query(StrFormat("SELECT uid FROM t_user ORDER BY uid DESC "
+                              "LIMIT %d, 3",
+                              static_cast<int>(b))),
+              uid_rows(total - 1 - b, 3, -1));
+    EXPECT_EQ(query("SELECT age, COUNT(*) FROM t_user GROUP BY age ORDER BY age"),
+              age_counts);
+    EXPECT_EQ(query("SELECT COUNT(*) FROM t_user"),
+              std::vector<Row>{{Value(total)}});
   }
 }
 

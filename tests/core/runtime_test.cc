@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
+#include "common/trace.h"
 #include "tests/core/test_cluster.h"
 
 namespace sphere::core {
@@ -331,6 +332,53 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(OracleCase{4, 2, "MOD"}, OracleCase{10, 2, "MOD"},
                       OracleCase{4, 4, "MOD"}, OracleCase{8, 2, "HASH_MOD"},
                       OracleCase{3, 3, "HASH_MOD"}));
+
+// Trace sampling is a per-runtime setting (RuntimeConfig).
+
+/// Counts completed statement traces.
+struct CountingSink : trace::TraceSink {
+  void OnTraceComplete(const trace::Trace&) override { ++traces; }
+  int traces = 0;
+};
+
+/// Alternates `rounds` point selects on this thread between a runtime that
+/// samples every `interval_a`-th statement and one that samples every
+/// `interval_b`-th; returns the traces each runtime's statements produced.
+std::pair<int, int> TracesWhileAlternating(uint32_t interval_a,
+                                           uint32_t interval_b, int rounds) {
+  std::unique_ptr<TestCluster> clusters[2];
+  for (int i = 0; i < 2; ++i) {
+    RuntimeConfig config;
+    config.trace_sample_interval = i == 0 ? interval_a : interval_b;
+    clusters[i] = std::make_unique<TestCluster>(2, config);
+    EXPECT_TRUE(clusters[i]->InstallModRule(4, /*bind=*/false).ok());
+    EXPECT_TRUE(clusters[i]->CreateUserOrderSchemas().ok());
+  }
+  CountingSink sink;
+  trace::TraceSink* prev = trace::SetTraceSink(&sink);
+  int traces[2] = {0, 0};
+  for (int round = 0; round < rounds; ++round) {
+    for (int i = 0; i < 2; ++i) {
+      const int before = sink.traces;
+      EXPECT_TRUE(clusters[i]->runtime()->Execute(
+          "SELECT name FROM t_user WHERE uid = 1").ok());
+      traces[i] += sink.traces - before;
+    }
+  }
+  trace::SetTraceSink(prev);
+  return {traces[0], traces[1]};
+}
+
+TEST(RuntimeTraceSamplingTest, EachRuntimeUsesItsOwnInterval) {
+  // Interval 1 traces each of its statements exactly once; 0 never samples.
+  EXPECT_EQ(TracesWhileAlternating(1, 0, 32), std::make_pair(32, 0));
+}
+
+TEST(RuntimeTraceSamplingTest, AlternatingIntervalsKeepTheirOwnRates) {
+  // A sampler that restarted its cycle whenever the interval changed would
+  // sample all 128 statements here.
+  EXPECT_EQ(TracesWhileAlternating(4, 8, 64), std::make_pair(16, 8));
+}
 
 }  // namespace
 }  // namespace sphere::core

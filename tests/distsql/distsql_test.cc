@@ -6,7 +6,6 @@
 
 #include "adaptor/jdbc.h"
 #include "common/trace.h"
-#include "engine/pipeline.h"
 #include "governor/health.h"
 
 namespace sphere::distsql {
@@ -17,8 +16,14 @@ using adaptor::ShardingDataSource;
 
 class DistSQLTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    ds_ = std::make_unique<ShardingDataSource>(core::RuntimeConfig(),
+  void SetUp() override { Open(core::RuntimeConfig()); }
+
+  /// (Re)builds the data source under `config` over two fresh nodes.
+  void Open(core::RuntimeConfig config) {
+    conn_.reset();
+    ds_.reset();
+    nodes_.clear();
+    ds_ = std::make_unique<ShardingDataSource>(config,
                                                net::NetworkConfig::Zero());
     for (int i = 0; i < 2; ++i) {
       nodes_.push_back(
@@ -311,7 +316,9 @@ TEST_F(DistSQLTest, TraceWorksWhenObservabilityDisabled) {
   // TRACE force-captures: the statement scope joins the installed trace even
   // with sampling interval 0 (observability off), so explicit traces keep
   // working.
-  engine::ScopedTraceSampling off(0);
+  core::RuntimeConfig config;
+  config.trace_sample_interval = 0;
+  Open(config);
   Exec("CREATE SHARDING TABLE RULE plain (RESOURCES(ds_0), "
        "SHARDING_COLUMN=id, TYPE=mod, PROPERTIES(\"sharding-count\"=1))");
   Exec("CREATE TABLE plain (id INT PRIMARY KEY)");

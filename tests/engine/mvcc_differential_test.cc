@@ -1,36 +1,30 @@
 // Differential tests for the read-path concurrency-control modes
-// (DESIGN.md §15): every script runs once under kLatch and once under kMvcc
-// on a fresh node, and the two transcripts — statuses, affected counts and
+// (DESIGN.md §15): every script runs once on a kLatch node and once on a
+// kMvcc node, and the two transcripts — statuses, affected counts and
 // materialized rows — must be identical. The modes differ only in how long
 // readers hold the table latch; any divergence in *results* is an MVCC
 // visibility bug.
-//
-// A second group pins the streaming global-aggregate fast path against the
-// materializing baseline the same way (ScopedStreamingMode), since that fast
-// path is what makes the mvcc read lane allocation-free.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/strings.h"
-#include "engine/pipeline.h"
 #include "engine/storage_node.h"
 
 namespace sphere::engine {
 namespace {
 
-/// Executes `script` on a fresh single node under `mode` and returns one
-/// transcript line per statement: "ERR:<code>" for failures, "OK:<n>" for
-/// DML, or the materialized rows ("a,b|c,d") for queries.
-std::vector<std::string> RunScript(ConcurrencyControl mode,
+/// Executes `script` on `node` and returns one transcript line per
+/// statement: "ERR:<code>" for failures, "OK:<n>" for DML, or the
+/// materialized rows ("a,b|c,d") for queries.
+std::vector<std::string> RunScript(StorageNode* node,
                                    const std::vector<std::string>& script) {
-  ScopedConcurrencyControl cc(mode);
-  StorageNode node("ds_diff");
-  auto session = node.OpenSession();
+  auto session = node->OpenSession();
   std::vector<std::string> transcript;
   transcript.reserve(script.size());
   for (const std::string& sql : script) {
@@ -58,9 +52,17 @@ std::vector<std::string> RunScript(ConcurrencyControl mode,
   return transcript;
 }
 
-void ExpectModesAgree(const std::vector<std::string>& script) {
-  std::vector<std::string> latch = RunScript(ConcurrencyControl::kLatch, script);
-  std::vector<std::string> mvcc = RunScript(ConcurrencyControl::kMvcc, script);
+/// Runs `script` on a fresh node in `mode`.
+std::vector<std::string> RunScript(ConcurrencyControl mode,
+                                   const std::vector<std::string>& script) {
+  StorageNode node("ds_diff");
+  node.set_concurrency_control(mode);
+  return RunScript(&node, script);
+}
+
+void ExpectTranscriptsAgree(const std::vector<std::string>& script,
+                            const std::vector<std::string>& latch,
+                            const std::vector<std::string>& mvcc) {
   ASSERT_EQ(latch.size(), mvcc.size());
   for (size_t i = 0; i < script.size(); ++i) {
     EXPECT_EQ(latch[i], mvcc[i]) << "divergence at statement " << i << ": "
@@ -68,7 +70,12 @@ void ExpectModesAgree(const std::vector<std::string>& script) {
   }
 }
 
-TEST(MvccDifferentialTest, FixedDmlAndScanScript) {
+void ExpectModesAgree(const std::vector<std::string>& script) {
+  ExpectTranscriptsAgree(script, RunScript(ConcurrencyControl::kLatch, script),
+                         RunScript(ConcurrencyControl::kMvcc, script));
+}
+
+std::vector<std::string> DmlAndScanScript() {
   std::vector<std::string> script{
       "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT)",
   };
@@ -88,7 +95,29 @@ TEST(MvccDifferentialTest, FixedDmlAndScanScript) {
       "UPDATE t SET val = 0 WHERE id = 99",  // no match
       "SELECT val FROM t ORDER BY val DESC LIMIT 3",
   });
-  ExpectModesAgree(script);
+  return script;
+}
+
+TEST(MvccDifferentialTest, FixedDmlAndScanScript) {
+  ExpectModesAgree(DmlAndScanScript());
+}
+
+// The mode is a per-node setting: a latch node and an mvcc node live in one
+// process and run the same script at the same time.
+TEST(MvccDifferentialTest, LatchAndMvccNodesSideBySide) {
+  StorageNode latch_node("ds_latch");
+  latch_node.set_concurrency_control(ConcurrencyControl::kLatch);
+  StorageNode mvcc_node("ds_mvcc");
+  ASSERT_EQ(mvcc_node.concurrency_control(), ConcurrencyControl::kMvcc);
+  const std::vector<std::string> script = DmlAndScanScript();
+  std::vector<std::string> latch;
+  std::vector<std::string> mvcc;
+  std::thread latch_thread([&] { latch = RunScript(&latch_node, script); });
+  std::thread mvcc_thread([&] { mvcc = RunScript(&mvcc_node, script); });
+  latch_thread.join();
+  mvcc_thread.join();
+  ExpectTranscriptsAgree(script, latch, mvcc);
+  EXPECT_EQ(latch_node.concurrency_control(), ConcurrencyControl::kLatch);
 }
 
 TEST(MvccDifferentialTest, FixedAggregateScript) {
@@ -200,92 +229,6 @@ TEST(MvccDifferentialTest, RandomizedScriptsAgree) {
     if (in_txn) script.push_back("COMMIT");
     script.push_back("SELECT * FROM t ORDER BY id");
     ExpectModesAgree(script);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming global-aggregate fast path vs materializing fallback
-// ---------------------------------------------------------------------------
-
-class AggregateFastPathTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    node_ = std::make_unique<StorageNode>("ds_agg");
-    session_ = node_->OpenSession();
-    Exec("CREATE TABLE m (id BIGINT PRIMARY KEY, k INT, d DOUBLE)");
-    for (int id = 1; id <= 40; ++id) {
-      Exec(StrFormat("INSERT INTO m VALUES (%d, %d, %d.5)", id, id % 6,
-                     id * 3));
-    }
-  }
-
-  void Exec(const std::string& sql) {
-    auto r = session_->Execute(sql, {});
-    ASSERT_TRUE(r.ok()) << r.status().ToString() << " for " << sql;
-  }
-
-  std::string QueryWith(bool streaming, const std::string& sql) {
-    ScopedStreamingMode mode(streaming);
-    auto r = session_->Execute(sql, {});
-    if (!r.ok()) return "ERR";
-    std::string out;
-    Row row;
-    while (r->result_set->Next(&row)) {
-      if (!out.empty()) out += "|";
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (i > 0) out += ",";
-        out += row[i].ToString();
-      }
-    }
-    return out;
-  }
-
-  std::unique_ptr<StorageNode> node_;
-  std::unique_ptr<StorageNode::Session> session_;
-};
-
-TEST_F(AggregateFastPathTest, MatchesMaterializingBaseline) {
-  const char* queries[] = {
-      "SELECT COUNT(*) FROM m",
-      "SELECT COUNT(*), SUM(k), MIN(k), MAX(k), AVG(k) FROM m",
-      "SELECT SUM(d), AVG(d) FROM m",
-      "SELECT COUNT(*), SUM(k) FROM m WHERE id >= 10 AND id <= 20",
-      "SELECT COUNT(*) FROM m WHERE k = 99",        // empty match: COUNT 0
-      "SELECT SUM(k), AVG(k) FROM m WHERE k = 99",  // empty match: NULLs
-      "SELECT COUNT(id) FROM m WHERE d > 60.0",
-  };
-  for (const char* q : queries) {
-    EXPECT_EQ(QueryWith(true, q), QueryWith(false, q)) << q;
-  }
-}
-
-TEST_F(AggregateFastPathTest, ShapesThatMustFallBackStillAgree) {
-  // Not eligible for the global-aggregate fast path (GROUP BY, HAVING,
-  // DISTINCT, ORDER BY, mixed plain columns); both settings must still
-  // return identical rows through whatever path they take.
-  const char* queries[] = {
-      "SELECT k, COUNT(*) FROM m GROUP BY k ORDER BY k",
-      "SELECT k, SUM(d) FROM m GROUP BY k HAVING COUNT(*) > 3 ORDER BY k",
-      "SELECT COUNT(DISTINCT k) FROM m",
-      "SELECT k FROM m ORDER BY k DESC LIMIT 5",
-  };
-  for (const char* q : queries) {
-    EXPECT_EQ(QueryWith(true, q), QueryWith(false, q)) << q;
-  }
-}
-
-TEST_F(AggregateFastPathTest, AgreesUnderBothConcurrencyModes) {
-  const char* q = "SELECT COUNT(*), SUM(k), AVG(d) FROM m WHERE id <= 25";
-  std::string expected;
-  {
-    ScopedConcurrencyControl cc(ConcurrencyControl::kLatch);
-    expected = QueryWith(false, q);
-  }
-  for (ConcurrencyControl mode :
-       {ConcurrencyControl::kLatch, ConcurrencyControl::kMvcc}) {
-    ScopedConcurrencyControl cc(mode);
-    EXPECT_EQ(QueryWith(true, q), expected);
-    EXPECT_EQ(QueryWith(false, q), expected);
   }
 }
 

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/pipeline.h"
 #include "engine/storage_node.h"
 #include "storage/table.h"
 
@@ -26,7 +25,6 @@ namespace {
 // no matter how it interleaves with commits, rollbacks and GC — must observe
 // exactly the initial totals.
 TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
-  engine::ScopedConcurrencyControl cc(engine::ConcurrencyControl::kMvcc);
   constexpr int kAccounts = 64;
   constexpr int64_t kInitialBalance = 100;
   constexpr int kWriters = 2;
@@ -142,7 +140,6 @@ TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
 // rows), so readers must always count exactly the base population — an
 // insert or tombstone leaking across a snapshot boundary breaks the count.
 TEST(MvccStressTest, InsertDeleteChurnKeepsCountStable) {
-  engine::ScopedConcurrencyControl cc(engine::ConcurrencyControl::kMvcc);
   constexpr int kBaseRows = 32;
   constexpr int kWriters = 2;
   constexpr int kReaders = 3;

@@ -3,7 +3,6 @@
 #include <thread>
 
 #include "common/metrics.h"
-#include "engine/pipeline.h"
 #include "net/packet.h"
 #include "net/pool.h"
 #include "net/remote.h"
@@ -114,8 +113,7 @@ TEST(PacketTest, ProxyResultShapesPriceAndRoundTrip) {
     int64_t last_insert_id = 0;
   };
   std::vector<Row> many;
-  for (int i = 0; i < 5 * static_cast<int>(engine::PipelineConfig::batch_size()) / 2;
-       ++i) {
+  for (int i = 0; i < 5 * static_cast<int>(engine::kBatchSize) / 2; ++i) {
     many.push_back({Value(i), Value("row" + std::to_string(i))});
   }
   const std::vector<Shape> shapes = {

@@ -55,11 +55,13 @@ to *exercise* the machinery, e.g. the lockdep tests spawn raw threads):
                    ExecuteSQL, no pool Acquire. A blocked reactor call
                    stalls every session behind it; hand the work to the
                    statement queue instead.
-  knob-budget      engine::PipelineConfig (src/engine/pipeline.h) may
-                   declare at most PIPELINE_KNOB_BUDGET static atomics.
-                   Each pipeline stage has one lane (ROADMAP aim 2): a new
-                   process-global switch must retire an old one, or go in
-                   as an explicit per-runtime option instead.
+  knob-budget      No header under src/ may declare a class-scope
+                   `static std::atomic` member: that is a process-global
+                   switch every runtime, node and test in the process
+                   shares (the budget is 0). Each pipeline stage has one
+                   lane (ROADMAP aim 2): a real choice goes in as a
+                   per-instance option (RuntimeConfig, ProxyOptions, a
+                   StorageNode setter) instead.
 
 Exemption marker: a comment `analyze-exempt(<rule>): <reason>` on the
 flagged line or the line directly above suppresses that rule there. The
@@ -134,11 +136,9 @@ REACTOR_MARK_RE = re.compile(r"\breactor-context\b")
 REACTOR_BLOCKING_RE = re.compile(
     r"\b(Wait|WaitFor|WaitUntil|Transfer|SleepMicros|ExecuteSQL|"
     r"Acquire|AcquireMany)\s*\(")
-# knob-budget: the process-global knob count of engine::PipelineConfig.
-PIPELINE_KNOB_BUDGET = 8
-PIPELINE_FILE = os.path.join("src", "engine", "pipeline.h")
-PIPELINE_CLASS_RE = re.compile(r"^\s*class\s+PipelineConfig\b[^;]*$")
-STATIC_ATOMIC_RE = re.compile(r"^\s*static\s+std::atomic\s*<")
+# knob-budget: class-scope static atomics in src/ headers (budget 0).
+STATIC_ATOMIC_RE = re.compile(
+    r"^\s*(?:inline\s+)?static\s+(?:inline\s+)?std::atomic\s*<")
 
 RAW_THREAD_EXEMPT_FILES = (
     os.path.join("src", "common", "thread_pool.h"),
@@ -592,26 +592,26 @@ def check_raw_thread(rel, text, exempts, findings):
 
 
 def check_knob_budget(rel, text, exempts, findings):
-    if rel != PIPELINE_FILE:
+    if not (rel.startswith("src" + os.sep) and rel.endswith(".h")):
         return
-    class_line, count = 0, 0
+    scopes = []  # one entry per open '{': its class name, or None
     for line_no, line in enumerate(text.split("\n"), 1):
-        if class_line == 0:
-            if PIPELINE_CLASS_RE.search(line):
-                class_line = line_no
-            continue
-        if line.startswith("};"):
-            break
-        if STATIC_ATOMIC_RE.search(line):
-            count += 1
-    if count > PIPELINE_KNOB_BUDGET and not is_exempt(
-            exempts, "knob-budget", class_line):
-        findings.append(Finding(
-            rel, class_line, "knob-budget",
-            "PipelineConfig declares %d static atomics, over the budget of "
-            "%d: each pipeline stage has one lane (ROADMAP aim 2), so retire "
-            "a baseline switch or make the choice a per-runtime option"
-            % (count, PIPELINE_KNOB_BUDGET)))
+        if (scopes and scopes[-1] is not None
+                and STATIC_ATOMIC_RE.search(line)
+                and not is_exempt(exempts, "knob-budget", line_no)):
+            findings.append(Finding(
+                rel, line_no, "knob-budget",
+                "%s declares a static std::atomic member, a process-global "
+                "switch (budget 0): each pipeline stage has one lane "
+                "(ROADMAP aim 2), so retire the baseline or make the choice "
+                "a per-instance option" % scopes[-1]))
+        head = CLASS_HEAD_RE.match(line)
+        for c in line:
+            if c == "{":
+                scopes.append(head.group("name") if head else None)
+                head = None  # only the head's own brace opens the class
+            elif c == "}" and scopes:
+                scopes.pop()
 
 
 # ---------------------------------------------------------------------------

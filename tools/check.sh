@@ -117,12 +117,16 @@ else
   # End-to-end transparency check: run.py builds the paper-scenario benchmark
   # in Release under .bench_build/ and every workload checks its answers
   # (exact rows, sums, order). Exit 3 means too few samples in the short
-  # window: reported as skipped, never as passed.
+  # window: reported as skipped, never as passed. The proxy workload runs
+  # about 150 ops/s, so it gets 10 s to collect the ~1000 samples its p99
+  # guard needs.
   note "4/8 paperbench Release smoke"
   for w in read_only_cpu write_only_cpu read_write_proxy_lan; do
     log="$ROOT/build-check/paperbench-$w.log"
-    python3 "$ROOT/paperbench/run.py" --workload "$w" --seed 1 --seconds 5 \
-      --trace 0 > "$log" 2>&1
+    seconds=5
+    [ "$w" = read_write_proxy_lan ] && seconds=10
+    python3 "$ROOT/paperbench/run.py" --workload "$w" --seed 1 \
+      --seconds "$seconds" --trace 0 > "$log" 2>&1
     rc=$?
     if grep -q '"correct": false' "$log"; then
       fail "paperbench $w: wrong answer (see $log)"
