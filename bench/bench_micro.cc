@@ -15,6 +15,7 @@
 
 #include "bench/alloc_hook.h"
 #include "common/arena.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/merge.h"
 #include "engine/row_batch.h"
@@ -434,10 +435,10 @@ void BM_DmlPassThroughVsReparse(benchmark::State& state) {
 BENCHMARK(BM_DmlPassThroughVsReparse);
 
 /// Point UPDATE over 100k rows, WHERE on column k. Arg(1): k carries a
-/// secondary index, so the point-DML path resolves the row set in O(log n)
-/// under one writer section. Arg(0): no index — the same statement degrades
-/// to a full table scan, the cost every point UPDATE paid before indexes
-/// (and what WHERE on any unindexed column still pays).
+/// secondary index, so the DML lane resolves the row set in O(log n) under
+/// one writer section. Arg(0): no index — the same lane walks a full-scan
+/// cursor under that writer section, the cost every point UPDATE paid
+/// before indexes (and what WHERE on any unindexed column still pays).
 void BM_PointUpdateIndexVsScan(benchmark::State& state) {
   BigNode big(100000);
   bool indexed = state.range(0) != 0;
@@ -531,6 +532,55 @@ void BM_FanoutDrainAllocs(benchmark::State& state) {
   state.SetLabel("arena + pooled rows");
 }
 BENCHMARK(BM_FanoutDrainAllocs);
+
+/// One node's share of a sysbench range: a 100-id `BETWEEN ? AND ?` over a
+/// 2500-row sbtest-shaped table, taken through the node's parse cache, with
+/// the drained rows recycled as an adaptor does. Args: 0 plain, 1 SUM(k),
+/// 2 ORDER BY c, 3 DISTINCT c ORDER BY c. allocs_per_query is the node
+/// pipeline's footprint for each shape.
+void BM_NodeRangeUnit(benchmark::State& state) {
+  static const char* const kShapes[] = {
+      "SELECT c FROM sbtest WHERE id BETWEEN ? AND ?",
+      "SELECT SUM(k) FROM sbtest WHERE id BETWEEN ? AND ?",
+      "SELECT c FROM sbtest WHERE id BETWEEN ? AND ? ORDER BY c",
+      "SELECT DISTINCT c FROM sbtest WHERE id BETWEEN ? AND ? ORDER BY c"};
+  constexpr int kRows = 2500;
+  constexpr int kSpan = 100;
+  engine::StorageNode node("ds_0");
+  auto session = node.OpenSession();
+  if (!session->Execute("CREATE TABLE sbtest (id BIGINT PRIMARY KEY, "
+                        "k BIGINT, c VARCHAR(120), pad VARCHAR(60))").ok()) {
+    std::abort();
+  }
+  Rng rng(17);
+  for (int first = 1; first <= kRows; first += 500) {
+    std::string sql = "INSERT INTO sbtest (id, k, c, pad) VALUES ";
+    for (int id = first; id < first + 500 && id <= kRows; ++id) {
+      if (id != first) sql += ", ";
+      sql += "(" + std::to_string(id) + ", " +
+             std::to_string(rng.Uniform(1, kRows)) + ", '" +
+             rng.RandomString(120) + "', '" + rng.RandomString(60) + "')";
+    }
+    if (!session->Execute(sql).ok()) std::abort();
+  }
+  const char* sql = kShapes[state.range(0)];
+  int64_t lo = 0;
+  auto run_once = [&] {
+    lo = (lo + 397) % (kRows - kSpan);
+    auto r = session->Execute(sql, {Value(lo + 1), Value(lo + kSpan)});
+    if (!r.ok()) std::abort();
+    std::vector<Row> rows = engine::DrainResultSet(r->result_set.get());
+    benchmark::DoNotOptimize(rows);
+    engine::RecycleRows(std::move(rows));
+  };
+  for (int i = 0; i < 64; ++i) run_once();  // warm the parse cache and pools
+  AllocMeter meter;
+  meter.Start();
+  for (auto _ : state) run_once();
+  meter.Stop(state);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NodeRangeUnit)->DenseRange(0, 3);
 
 /// Observability overhead on the hottest committed path (cache-hit point
 /// SELECT): Arg(0) runs with sampling interval 0 (statement scopes and

@@ -282,6 +282,26 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
     return out;
   }
 
+  // The merge folds per-shard partials of top-level aggregate items only. A
+  // HAVING would filter partial groups, and an aggregate inside an
+  // expression would reach the merge already combined with other values.
+  if (stmt.having != nullptr) {
+    return Status::Unsupported("HAVING across shards");
+  }
+  for (const auto& item : stmt.items) {
+    if (item.is_star || item.expr == nullptr) continue;
+    int aggs = 0;
+    sql::WalkExpr(item.expr.get(), [&aggs](const sql::Expr* e) {
+      if (e->kind() == sql::ExprKind::kFuncCall &&
+          static_cast<const sql::FuncCallExpr*>(e)->IsAggregate()) {
+        ++aggs;
+      }
+    });
+    if (aggs > (TopLevelAggregate(item) != nullptr ? 1 : 0)) {
+      return Status::Unsupported("aggregate inside an expression across shards");
+    }
+  }
+
   bool star = false;
   for (const auto& item : stmt.items) star = star || item.is_star;
   bool has_agg = stmt.HasAggregation();

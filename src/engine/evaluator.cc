@@ -28,20 +28,21 @@ bool IsTruthy(const Value& v) {
 namespace {
 
 Result<Value> EvalBinary(const sql::BinaryExpr* b, const BoundColumns& cols,
-                         const Row& row, const std::vector<Value>& params) {
+                         const Row& row, const std::vector<Value>& params,
+                         const AggregateBinding* aggs) {
   using sql::BinaryOp;
   // Short-circuit logical operators.
   if (b->op == BinaryOp::kAnd || b->op == BinaryOp::kOr) {
-    SPHERE_ASSIGN_OR_RETURN(Value l, EvalExpr(b->left.get(), cols, row, params));
+    SPHERE_ASSIGN_OR_RETURN(Value l, EvalExpr(b->left.get(), cols, row, params, aggs));
     bool lt = IsTruthy(l);
     if (b->op == BinaryOp::kAnd && !lt) return Value(int64_t{0});
     if (b->op == BinaryOp::kOr && lt) return Value(int64_t{1});
-    SPHERE_ASSIGN_OR_RETURN(Value r, EvalExpr(b->right.get(), cols, row, params));
+    SPHERE_ASSIGN_OR_RETURN(Value r, EvalExpr(b->right.get(), cols, row, params, aggs));
     return Value(int64_t{IsTruthy(r) ? 1 : 0});
   }
 
-  SPHERE_ASSIGN_OR_RETURN(Value l, EvalExpr(b->left.get(), cols, row, params));
-  SPHERE_ASSIGN_OR_RETURN(Value r, EvalExpr(b->right.get(), cols, row, params));
+  SPHERE_ASSIGN_OR_RETURN(Value l, EvalExpr(b->left.get(), cols, row, params, aggs));
+  SPHERE_ASSIGN_OR_RETURN(Value r, EvalExpr(b->right.get(), cols, row, params, aggs));
 
   switch (b->op) {
     case BinaryOp::kEq:
@@ -111,15 +112,21 @@ Result<Value> EvalBinary(const sql::BinaryExpr* b, const BoundColumns& cols,
 }
 
 Result<Value> EvalFunc(const sql::FuncCallExpr* f, const BoundColumns& cols,
-                       const Row& row, const std::vector<Value>& params) {
+                       const Row& row, const std::vector<Value>& params,
+                       const AggregateBinding* aggs) {
   if (f->IsAggregate()) {
+    if (aggs != nullptr) {
+      for (size_t i = 0; i < aggs->calls->size(); ++i) {
+        if ((*aggs->calls)[i] == f) return aggs->values[i];
+      }
+    }
     return Status::InvalidArgument(
         "aggregate function " + f->name + " outside aggregation context");
   }
   std::vector<Value> args;
   args.reserve(f->args.size());
   for (const auto& a : f->args) {
-    SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(a.get(), cols, row, params));
+    SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(a.get(), cols, row, params, aggs));
     args.push_back(std::move(v));
   }
   const std::string& n = f->name;
@@ -185,7 +192,8 @@ Result<Value> EvalFunc(const sql::FuncCallExpr* f, const BoundColumns& cols,
 }  // namespace
 
 Result<Value> EvalExpr(const sql::Expr* expr, const BoundColumns& columns,
-                       const Row& row, const std::vector<Value>& params) {
+                       const Row& row, const std::vector<Value>& params,
+                       const AggregateBinding* aggs) {
   using sql::ExprKind;
   switch (expr->kind()) {
     case ExprKind::kLiteral:
@@ -210,7 +218,7 @@ Result<Value> EvalExpr(const sql::Expr* expr, const BoundColumns& columns,
     case ExprKind::kUnary: {
       const auto* u = static_cast<const sql::UnaryExpr*>(expr);
       SPHERE_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(u->child.get(), columns, row, params));
+                              EvalExpr(u->child.get(), columns, row, params, aggs));
       switch (u->op) {
         case sql::UnaryOp::kNot:
           return Value(int64_t{IsTruthy(v) ? 0 : 1});
@@ -227,23 +235,23 @@ Result<Value> EvalExpr(const sql::Expr* expr, const BoundColumns& columns,
     }
     case ExprKind::kBinary:
       return EvalBinary(static_cast<const sql::BinaryExpr*>(expr), columns, row,
-                        params);
+                        params, aggs);
     case ExprKind::kBetween: {
       const auto* b = static_cast<const sql::BetweenExpr*>(expr);
-      SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(b->expr.get(), columns, row, params));
-      SPHERE_ASSIGN_OR_RETURN(Value lo, EvalExpr(b->low.get(), columns, row, params));
-      SPHERE_ASSIGN_OR_RETURN(Value hi, EvalExpr(b->high.get(), columns, row, params));
+      SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(b->expr.get(), columns, row, params, aggs));
+      SPHERE_ASSIGN_OR_RETURN(Value lo, EvalExpr(b->low.get(), columns, row, params, aggs));
+      SPHERE_ASSIGN_OR_RETURN(Value hi, EvalExpr(b->high.get(), columns, row, params, aggs));
       if (v.is_null() || lo.is_null() || hi.is_null()) return Value(int64_t{0});
       bool in = v.Compare(lo) >= 0 && v.Compare(hi) <= 0;
       return Value(int64_t{in != b->negated ? 1 : 0});
     }
     case ExprKind::kIn: {
       const auto* in = static_cast<const sql::InExpr*>(expr);
-      SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(in->expr.get(), columns, row, params));
+      SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(in->expr.get(), columns, row, params, aggs));
       if (v.is_null()) return Value(int64_t{0});
       bool found = false;
       for (const auto& item : in->list) {
-        SPHERE_ASSIGN_OR_RETURN(Value x, EvalExpr(item.get(), columns, row, params));
+        SPHERE_ASSIGN_OR_RETURN(Value x, EvalExpr(item.get(), columns, row, params, aggs));
         if (!x.is_null() && v.Compare(x) == 0) {
           found = true;
           break;
@@ -253,14 +261,14 @@ Result<Value> EvalExpr(const sql::Expr* expr, const BoundColumns& columns,
     }
     case ExprKind::kFuncCall:
       return EvalFunc(static_cast<const sql::FuncCallExpr*>(expr), columns, row,
-                      params);
+                      params, aggs);
     case ExprKind::kCase: {
       const auto* c = static_cast<const sql::CaseExpr*>(expr);
       for (const auto& [when, then] : c->branches) {
-        SPHERE_ASSIGN_OR_RETURN(Value w, EvalExpr(when.get(), columns, row, params));
-        if (IsTruthy(w)) return EvalExpr(then.get(), columns, row, params);
+        SPHERE_ASSIGN_OR_RETURN(Value w, EvalExpr(when.get(), columns, row, params, aggs));
+        if (IsTruthy(w)) return EvalExpr(then.get(), columns, row, params, aggs);
       }
-      if (c->else_expr) return EvalExpr(c->else_expr.get(), columns, row, params);
+      if (c->else_expr) return EvalExpr(c->else_expr.get(), columns, row, params, aggs);
       return Value::Null();
     }
   }

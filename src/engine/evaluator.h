@@ -39,12 +39,20 @@ class BoundColumns {
   ArenaVector<std::pair<std::string_view, std::string_view>> cols_;
 };
 
-/// Evaluates `expr` against one row. Aggregate function calls are rejected
-/// here; the executor computes them over groups and never routes them through
-/// the row evaluator. Scalar functions: ABS, MOD, LENGTH, LOWER, UPPER,
-/// SUBSTR, CONCAT, COALESCE, NOW.
+/// The finished aggregates of one group: the call node `(*calls)[i]`
+/// evaluates to `values[i]`, wherever it sits in an expression.
+struct AggregateBinding {
+  const ArenaVector<const sql::FuncCallExpr*>* calls;
+  const Value* values;
+};
+
+/// Evaluates `expr` against one row. Aggregate function calls resolve
+/// through `aggs` (an aggregated query's group) and are rejected without it.
+/// Scalar functions: ABS, MOD, LENGTH, LOWER, UPPER, SUBSTR, CONCAT,
+/// COALESCE, NOW.
 Result<Value> EvalExpr(const sql::Expr* expr, const BoundColumns& columns,
-                       const Row& row, const std::vector<Value>& params);
+                       const Row& row, const std::vector<Value>& params,
+                       const AggregateBinding* aggs = nullptr);
 
 /// SQL truthiness: NULL and numeric zero are false.
 bool IsTruthy(const Value& v);

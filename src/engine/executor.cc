@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -20,97 +21,45 @@ namespace {
 
 using sql::ColumnCondition;
 
-/// Lexicographic row order for GROUP keys.
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
-};
-
-/// Output column labels of a SELECT, resolving `*` against the source.
-std::vector<std::string> BuildLabels(const sql::SelectStatement& stmt,
-                                     const BoundColumns& cols) {
-  const sql::Dialect& dialect = sql::Dialect::MySQL();
-  std::vector<std::string> labels = RowStore::Instance().AcquireLabelShell();
-  for (const auto& item : stmt.items) {
-    if (item.is_star) {
-      for (size_t i = 0; i < cols.size(); ++i) {
-        if (!item.star_qualifier.empty() &&
-            !EqualsIgnoreCase(cols.at(i).first, item.star_qualifier)) {
-          continue;
-        }
-        labels.emplace_back(cols.at(i).second);
-      }
-    } else {
-      labels.push_back(item.Label(dialect));
-    }
-  }
-  return labels;
-}
-
-/// Projects one source row through the select list.
-Result<Row> ProjectRow(const sql::SelectStatement& stmt,
-                       const BoundColumns& cols, const Row& row,
-                       const std::vector<Value>& params) {
-  Row out;
-  out.reserve(stmt.items.size());
-  for (const auto& item : stmt.items) {
-    if (item.is_star) {
-      for (size_t i = 0; i < cols.size(); ++i) {
-        if (!item.star_qualifier.empty() &&
-            !EqualsIgnoreCase(cols.at(i).first, item.star_qualifier)) {
-          continue;
-        }
-        out.push_back(row[i]);
-      }
-    } else {
-      SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(item.expr.get(), cols, row, params));
-      out.push_back(std::move(v));
-    }
-  }
-  return out;
-}
-
-/// One select-list output cell of the pooled projection: either a direct
-/// source-column copy (capacity-reusing assignment into the recycled row)
-/// or a general expression evaluation.
+/// One cell of a pipeline row: either a direct source-column copy
+/// (capacity-reusing assignment into the recycled row) or a general
+/// expression evaluation.
 struct ProjectionStep {
   int col = -1;                     ///< source column index, or -1
   const sql::Expr* expr = nullptr;  ///< evaluated when col < 0
 };
 
-/// Flattens the select list (stars expanded) into per-cell steps. Direct
-/// column references skip EvalExpr's value copy so the projection can assign
-/// straight from the borrowed source row.
-ArenaVector<ProjectionStep> BuildProjectionSteps(
-    const sql::SelectStatement& stmt, const BoundColumns& cols) {
+/// The step for one expression: a column reference that resolves in the
+/// source copies straight from the borrowed row; anything else (including an
+/// unresolvable reference, for identical errors) goes through EvalExpr.
+ProjectionStep StepFor(const sql::Expr* e, const BoundColumns& cols) {
+  if (e->kind() == sql::ExprKind::kColumnRef) {
+    const auto* c = static_cast<const sql::ColumnRefExpr*>(e);
+    int idx = cols.Resolve(c->table, c->column);
+    if (idx >= 0) return ProjectionStep{idx, nullptr};
+  }
+  return ProjectionStep{-1, e};
+}
+
+/// Flattens the select list (stars expanded against the source) into the
+/// output labels and one projection step per output cell.
+ArenaVector<ProjectionStep> BuildOutput(const sql::SelectStatement& stmt,
+                                        const BoundColumns& cols,
+                                        std::vector<std::string>* labels) {
   ArenaVector<ProjectionStep> steps;
   steps.reserve(stmt.items.size());
   for (const auto& item : stmt.items) {
-    if (item.is_star) {
-      for (size_t i = 0; i < cols.size(); ++i) {
-        if (!item.star_qualifier.empty() &&
-            !EqualsIgnoreCase(cols.at(i).first, item.star_qualifier)) {
-          continue;
-        }
+    if (!item.is_star) {
+      labels->push_back(item.Label(sql::Dialect::MySQL()));
+      steps.push_back(StepFor(item.expr.get(), cols));
+      continue;
+    }
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (item.star_qualifier.empty() ||
+          EqualsIgnoreCase(cols.at(i).first, item.star_qualifier)) {
+        labels->emplace_back(cols.at(i).second);
         steps.push_back(ProjectionStep{static_cast<int>(i), nullptr});
       }
-    } else if (item.expr->kind() == sql::ExprKind::kColumnRef) {
-      const auto* c = static_cast<const sql::ColumnRefExpr*>(item.expr.get());
-      int idx = cols.Resolve(c->table, c->column);
-      if (idx >= 0) {
-        steps.push_back(ProjectionStep{idx, nullptr});
-      } else {
-        // Unresolvable reference: defer to EvalExpr for identical errors.
-        steps.push_back(ProjectionStep{-1, item.expr.get()});
-      }
-    } else {
-      steps.push_back(ProjectionStep{-1, item.expr.get()});
     }
   }
   return steps;
@@ -118,10 +67,12 @@ ArenaVector<ProjectionStep> BuildProjectionSteps(
 
 /// Projects into a recycled row: same-position cells are assigned in place
 /// (same-alternative variant assignment reuses string capacity), so a warm
-/// row projects with zero allocations.
+/// row projects with zero allocations. `aggs` binds an aggregated query's
+/// finished aggregates.
 Status ProjectRowInto(const ArenaVector<ProjectionStep>& steps,
                       const BoundColumns& cols, const Row& row,
-                      const std::vector<Value>& params, Row* out) {
+                      const std::vector<Value>& params,
+                      const AggregateBinding* aggs, Row* out) {
   if (out->size() > steps.size()) out->resize(steps.size());
   for (size_t i = 0; i < steps.size(); ++i) {
     if (steps[i].col >= 0) {
@@ -132,8 +83,8 @@ Status ProjectRowInto(const ArenaVector<ProjectionStep>& steps,
         out->push_back(v);
       }
     } else {
-      SPHERE_ASSIGN_OR_RETURN(Value v,
-                              EvalExpr(steps[i].expr, cols, row, params));
+      SPHERE_ASSIGN_OR_RETURN(
+          Value v, EvalExpr(steps[i].expr, cols, row, params, aggs));
       if (i < out->size()) {
         (*out)[i] = std::move(v);
       } else {
@@ -144,26 +95,238 @@ Status ProjectRowInto(const ArenaVector<ProjectionStep>& steps,
   return Status::OK();
 }
 
-/// Strict weak order over (order-keys, payload) pairs per the ORDER BY spec.
-struct KeyedRowLess {
-  const std::vector<sql::OrderByItem>* order_by;
-  bool operator()(const std::pair<Row, Row>& a,
-                  const std::pair<Row, Row>& b) const {
-    for (size_t i = 0; i < order_by->size(); ++i) {
-      int c = a.first[i].Compare(b.first[i]);
-      if (c != 0) return (*order_by)[i].desc ? c > 0 : c < 0;
+/// One ORDER BY key: the pipeline-row cell it reads and its direction.
+struct SortKey {
+  size_t cell;
+  bool desc;
+};
+
+/// Pipeline-row order per the ORDER BY keys; ties compare equal, and every
+/// sort over it is stable, so ties keep their arrival order.
+struct SortKeyLess {
+  const ArenaVector<SortKey>* keys;
+  bool operator()(const Row& a, const Row& b) const {
+    for (const SortKey& k : *keys) {
+      int c = a[k.cell].Compare(b[k.cell]);
+      if (c != 0) return k.desc ? c > 0 : c < 0;
     }
     return false;
   }
 };
 
-/// True when `cond`'s qualifier can refer to this table.
-bool ConditionApplies(const ColumnCondition& cond, const sql::TableRef& ref,
-                      const Schema& schema) {
-  if (!cond.table.empty() && !EqualsIgnoreCase(cond.table, ref.EffectiveName())) {
-    return false;
+/// Resolves every ORDER BY key against the output: a column reference by
+/// its column name, anything else by its SQL text, matched first with the
+/// output labels, then with the select-expression text.
+Status ResolveOutputKeys(const sql::SelectStatement& stmt,
+                         const std::vector<std::string>& labels,
+                         ArenaVector<SortKey>* keys) {
+  const sql::Dialect& d = sql::Dialect::MySQL();
+  for (const auto& ob : stmt.order_by) {
+    std::string key_label =
+        ob.expr->kind() == sql::ExprKind::kColumnRef
+            ? static_cast<const sql::ColumnRefExpr*>(ob.expr.get())->column
+            : ob.expr->ToSQL(d);
+    int idx = -1;
+    for (size_t i = 0; i < labels.size() && idx < 0; ++i) {
+      if (EqualsIgnoreCase(labels[i], key_label)) idx = static_cast<int>(i);
+    }
+    // Item positions match output cells only up to a star: stay in the row.
+    size_t items = std::min(stmt.items.size(), labels.size());
+    for (size_t i = 0; i < items && idx < 0; ++i) {
+      if (stmt.items[i].expr != nullptr &&
+          stmt.items[i].expr->ToSQL(d) == ob.expr->ToSQL(d)) {
+        idx = static_cast<int>(i);
+      }
+    }
+    if (idx < 0) {
+      return Status::InvalidArgument("ORDER BY key not in select list: " +
+                                     key_label);
+    }
+    keys->push_back(SortKey{static_cast<size_t>(idx), ob.desc});
   }
-  return schema.IndexOf(cond.column) >= 0;
+  return Status::OK();
+}
+
+/// Last stage of the SELECT pipeline: ORDER BY, DISTINCT and OFFSET/LIMIT.
+/// A producer projects each row into `Slot()` and hands it over with
+/// `Push()`. A pipeline row holds the `width` output cells, then the order
+/// keys that are not output cells; those extras are cut before DISTINCT.
+///  - Unsorted: rows stream through. The offset is skipped before
+///    projection (`SkipNext`), DISTINCT keeps first occurrences in arrival
+///    order, and the producer stops once `Done()`.
+///  - Sorted with a LIMIT count and no DISTINCT: a bounded TopKHeap keeps
+///    the first offset+count rows of the stable order.
+///  - Any other sort: every row is kept and stable-sorted in Finish(), then
+///    deduplicated (first occurrence wins) and windowed.
+/// Slots come from the RowStore recycler in bounded chunks and unused ones
+/// go back, so a warm pipeline projects without allocating.
+class RowSink {
+ public:
+  /// `keys` empty means unsorted.
+  RowSink(const sql::SelectStatement& stmt, size_t width,
+          ArenaVector<SortKey> keys)
+      : width_(width),
+        keys_(std::move(keys)),
+        distinct_(stmt.distinct),
+        out_(RowStore::Instance().AcquireShell()),
+        spare_(RowStore::Instance().AcquireShell()) {
+    if (stmt.limit.has_value()) {
+      offset_ = static_cast<size_t>(std::max<int64_t>(0, stmt.limit->offset));
+      if (stmt.limit->count >= 0) {
+        count_ = static_cast<size_t>(stmt.limit->count);
+        budget_ = offset_ + count_;
+      }
+    }
+    if (!keys_.empty() && count_ != kAll && !distinct_) {
+      heap_.emplace(budget_, SortKeyLess{&keys_});
+    } else if (keys_.empty() && distinct_) {
+      seen_.emplace(&out_);
+    }
+    // At most offset+count rows (and the one a full heap evicts) are held.
+    chunk_ = std::min(budget_, kFirstChunk - 1) + 1;
+  }
+
+  ~RowSink() {
+    if (has_slot_) spare_.push_back(std::move(slot_));
+    RowStore::Instance().Release(std::move(spare_));
+  }
+
+  RowSink(const RowSink&) = delete;
+  RowSink& operator=(const RowSink&) = delete;
+
+  /// True once no further row can reach an unsorted output.
+  bool Done() const {
+    return keys_.empty() && out_.size() >= (distinct_ ? budget_ : count_);
+  }
+
+  /// True (and counted) when the next row falls inside an unsorted,
+  /// non-DISTINCT offset: the producer drops it without projecting it.
+  bool SkipNext() {
+    if (!keys_.empty() || distinct_ || skipped_ >= offset_) return false;
+    ++skipped_;
+    return true;
+  }
+
+  /// The row to project the next output into.
+  Row* Slot() {
+    if (!has_slot_) {
+      if (spare_.empty() && !pool_dry_) {
+        pool_dry_ = RowStore::Instance().AcquireRows(&spare_, chunk_) == 0;
+        chunk_ = std::min(chunk_ * 2, kSpareChunk);
+      }
+      if (spare_.empty()) {
+        slot_.clear();
+      } else {
+        slot_ = std::move(spare_.back());
+        spare_.pop_back();
+      }
+      has_slot_ = true;
+    }
+    return &slot_;
+  }
+
+  /// Hands the projected slot to the sort/dedup/window stage.
+  void Push() {
+    if (heap_.has_value()) {
+      heap_->Push(std::move(slot_));
+    } else {
+      out_.push_back(std::move(slot_));
+      if (seen_.has_value() && !seen_->Admit(out_.size() - 1)) {
+        slot_ = std::move(out_.back());  // duplicate: reuse its storage
+        out_.pop_back();
+        return;
+      }
+    }
+    has_slot_ = false;
+  }
+
+  /// Sorts, deduplicates and windows the rows; called after the source's
+  /// latch scope has closed.
+  std::vector<Row> Finish() {
+    if (heap_.has_value()) {
+      RowStore::Instance().Release(std::move(out_));
+      out_ = heap_->TakeSorted();
+    } else if (!keys_.empty()) {
+      std::stable_sort(out_.begin(), out_.end(), SortKeyLess{&keys_});
+    }
+    if (!keys_.empty()) {
+      for (Row& row : out_) {
+        if (row.size() > width_) row.resize(width_);
+      }
+      if (distinct_ && KeysAreTheOutput()) {
+        // Sorted on exactly its output cells: equal rows are adjacent.
+        out_.erase(std::unique(out_.begin(), out_.end()), out_.end());
+      } else if (distinct_) {
+        DedupRowsInPlace(&out_);
+      }
+    }
+    // An unsorted plain sink skipped its offset before projection.
+    size_t skip = keys_.empty() && !distinct_ ? 0 : offset_;
+    out_.erase(out_.begin(),
+               out_.begin() + static_cast<long>(std::min(skip, out_.size())));
+    if (out_.size() > count_) out_.resize(count_);
+    return std::move(out_);
+  }
+
+ private:
+  static constexpr size_t kAll = std::numeric_limits<size_t>::max();
+  static constexpr size_t kFirstChunk = 16;
+  static constexpr size_t kSpareChunk = 256;
+
+  /// True when the keys read every output cell and nothing else.
+  bool KeysAreTheOutput() const {
+    for (size_t cell = 0; cell < width_; ++cell) {
+      if (std::none_of(keys_.begin(), keys_.end(),
+                       [cell](const SortKey& k) { return k.cell == cell; })) {
+        return false;
+      }
+    }
+    return std::all_of(keys_.begin(), keys_.end(),
+                       [this](const SortKey& k) { return k.cell < width_; });
+  }
+
+  size_t width_;
+  ArenaVector<SortKey> keys_;
+  bool distinct_;
+  size_t offset_ = 0;
+  size_t count_ = kAll;
+  size_t budget_ = kAll;  ///< offset + count
+  size_t skipped_ = 0;
+  std::vector<Row> out_;
+  std::vector<Row> spare_;  ///< recycled rows still to project into
+  Row slot_;
+  bool has_slot_ = false;
+  size_t chunk_ = kFirstChunk;  ///< rows to take from the pool next time
+  bool pool_dry_ = false;       ///< the pool ran empty: stop asking
+  std::optional<TopKHeap<Row, SortKeyLess>> heap_;
+  std::optional<RowIndexSet> seen_;  ///< unsorted DISTINCT over out_
+};
+
+/// Binds one table's schema under its effective name.
+void BindTable(const sql::TableRef& ref, const storage::Table& table,
+               BoundColumns* columns) {
+  const std::string& qual = ref.EffectiveName();
+  for (const auto& col : table.schema().columns()) columns->Add(qual, col.name);
+}
+
+/// Walks `plan`'s cursor (latching as TableScanCursor documents) and passes
+/// each row that satisfies `where` to `consume` until it returns false.
+/// `consume` sees a borrowed row: what it keeps, it copies or projects.
+template <typename Consume>
+Status DrainMatches(const ScanPlan& plan, storage::ReadView view,
+                    bool self_latch, const sql::Expr* where,
+                    const BoundColumns& columns,
+                    const std::vector<Value>& params, Consume&& consume) {
+  TableScanCursor cursor(plan, view, self_latch);
+  for (const Row* row = cursor.Next(); row != nullptr; row = cursor.Next()) {
+    if (where != nullptr) {
+      SPHERE_ASSIGN_OR_RETURN(Value ok, EvalExpr(where, columns, *row, params));
+      if (!IsTruthy(ok)) continue;
+    }
+    SPHERE_ASSIGN_OR_RETURN(bool more, consume(*row));
+    if (!more) break;
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -172,19 +335,21 @@ bool ConditionApplies(const ColumnCondition& cond, const sql::TableRef& ref,
 
 enum class AggType { kCount, kSum, kMin, kMax, kAvg };
 
-Result<AggType> AggTypeOf(const std::string& name) {
-  if (EqualsIgnoreCase(name, "COUNT")) return AggType::kCount;
+AggType AggTypeOf(const std::string& name) {
   if (EqualsIgnoreCase(name, "SUM")) return AggType::kSum;
   if (EqualsIgnoreCase(name, "MIN")) return AggType::kMin;
   if (EqualsIgnoreCase(name, "MAX")) return AggType::kMax;
   if (EqualsIgnoreCase(name, "AVG")) return AggType::kAvg;
-  return Status::Unsupported("aggregate " + name);
+  return AggType::kCount;  // IsAggregate() admits only these five names
 }
 
 /// One aggregate accumulator.
 struct AggState {
-  AggType type = AggType::kCount;
-  bool distinct = false;
+  explicit AggState(const sql::FuncCallExpr* f)
+      : type(AggTypeOf(f->name)), distinct(f->distinct) {}
+
+  AggType type;
+  bool distinct;
   int64_t count = 0;
   double sum = 0;
   bool sum_is_int = true;
@@ -228,65 +393,45 @@ struct AggState {
   }
 };
 
-/// The aggregates referenced by a query, keyed by their normalized SQL text.
+/// Every aggregate call of a query (select items, HAVING, ORDER BY), one
+/// accumulator slot per call node, and whether any expression reads a source
+/// column outside an aggregate (then each group keeps its first row).
 struct AggPlan {
-  std::vector<const sql::FuncCallExpr*> exprs;  ///< unique aggregate calls
-  std::map<std::string, size_t> index_by_key;
-
-  static std::string KeyOf(const sql::FuncCallExpr* f) {
-    return f->ToSQL(sql::Dialect::MySQL());
-  }
+  ArenaVector<const sql::FuncCallExpr*> calls;
+  bool reads_columns = false;
 
   void Collect(const sql::Expr* e) {
-    sql::WalkExpr(e, [this](const sql::Expr* node) {
-      if (node->kind() == sql::ExprKind::kFuncCall) {
-        const auto* f = static_cast<const sql::FuncCallExpr*>(node);
-        if (f->IsAggregate()) {
-          std::string key = KeyOf(f);
-          if (!index_by_key.count(key)) {
-            index_by_key[key] = exprs.size();
-            exprs.push_back(f);
-          }
-        }
+    // The walkers capture one pointer each, so std::function stores them
+    // inline instead of allocating.
+    struct Counts {
+      AggPlan* plan;
+      size_t refs = 0, refs_in_aggs = 0;
+    } n{this};
+    sql::WalkExpr(e, [c = &n](const sql::Expr* node) {
+      if (node->kind() == sql::ExprKind::kColumnRef) ++c->refs;
+      if (node->kind() != sql::ExprKind::kFuncCall) return;
+      const auto* f = static_cast<const sql::FuncCallExpr*>(node);
+      if (!f->IsAggregate()) return;
+      c->plan->calls.push_back(f);
+      for (const auto& a : f->args) {
+        sql::WalkExpr(a.get(), [c](const sql::Expr* arg) {
+          if (arg->kind() == sql::ExprKind::kColumnRef) ++c->refs_in_aggs;
+        });
       }
     });
+    if (n.refs > n.refs_in_aggs) reads_columns = true;
   }
 };
 
 /// One group's accumulated state.
 struct Group {
-  Row key;
-  Row first_row;  ///< first source row of the group (for non-agg items)
-  std::vector<AggState> aggs;
+  Row first_row;  ///< first source row, kept when the plan reads columns
+  ArenaVector<AggState> aggs;
 };
 
-/// Evaluates an expression over a finished group: aggregate calls resolve to
-/// their accumulated value, everything else evaluates against the group's
-/// first source row.
-Result<Value> EvalOverGroup(const sql::Expr* e, const AggPlan& plan,
-                            const Group& g, const BoundColumns& cols,
-                            const std::vector<Value>& params) {
-  if (e->kind() == sql::ExprKind::kFuncCall) {
-    const auto* f = static_cast<const sql::FuncCallExpr*>(e);
-    if (f->IsAggregate()) {
-      auto it = plan.index_by_key.find(AggPlan::KeyOf(f));
-      if (it == plan.index_by_key.end()) {
-        return Status::Internal("aggregate not planned: " + f->name);
-      }
-      return g.aggs[it->second].Finish();
-    }
-  }
-  if (e->kind() == sql::ExprKind::kBinary) {
-    const auto* b = static_cast<const sql::BinaryExpr*>(e);
-    SPHERE_ASSIGN_OR_RETURN(Value l, EvalOverGroup(b->left.get(), plan, g, cols, params));
-    SPHERE_ASSIGN_OR_RETURN(Value r, EvalOverGroup(b->right.get(), plan, g, cols, params));
-    // Re-evaluate the operator on computed operands via a tiny literal tree.
-    sql::BinaryExpr tmp(b->op, std::make_unique<sql::LiteralExpr>(l),
-                        std::make_unique<sql::LiteralExpr>(r));
-    return EvalExpr(&tmp, cols, g.first_row, params);
-  }
-  return EvalExpr(e, cols, g.first_row, params);
-}
+/// Groups in ascending key order, their nodes in the statement arena.
+using GroupMap = std::map<Row, Group, std::less<Row>,
+                          ArenaAllocator<std::pair<const Row, Group>>>;
 
 }  // namespace
 
@@ -310,8 +455,13 @@ Result<ScanPlan> Executor::PlanScan(const sql::TableRef& ref,
   int pk = table->pk_index();
   if (groups.size() == 1) {
     for (const auto& cond : groups[0]) {
-      if (!ConditionApplies(cond, ref, table->schema())) continue;
+      // Skip conditions whose qualifier names another table.
+      if (!cond.table.empty() &&
+          !EqualsIgnoreCase(cond.table, ref.EffectiveName())) {
+        continue;
+      }
       int ci = table->schema().IndexOf(cond.column);
+      if (ci < 0) continue;
       if (ci == pk && !plan.pk_cond.has_value()) {
         plan.pk_cond = cond;
       } else if (cond.kind == ColumnCondition::Kind::kEqual &&
@@ -324,338 +474,56 @@ Result<ScanPlan> Executor::PlanScan(const sql::TableRef& ref,
   return plan;
 }
 
-Result<Executor::SourceRows> Executor::ScanTable(
-    const sql::TableRef& ref, const sql::Expr* where,
-    const std::vector<Value>& params,
-    const storage::ReadView* view_override) {
-  SPHERE_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(ref, where, params));
-  SourceRows out;
-  const std::string& qual = ref.EffectiveName();
-  for (const auto& col : plan.table->schema().columns()) {
-    out.columns.Add(qual, col.name);
-  }
-
-  // Rows must outlive the latch, so the multi-table/aggregated path still
-  // materializes the scan here; the copy is the price of releasing the latch
-  // before join/merge work (single-table SELECTs bypass this entirely via
-  // Executor::TryStreamSelect). Under mvcc the cursor self-latches in short
-  // bursts instead of freezing the table for the whole copy; DML fallback
-  // lanes (view_override) keep the blocking reader section — their caller
-  // re-checks every row under the writer latch anyway.
-  const bool self_latch =
-      view_override == nullptr && mvcc();
-  storage::ReadView view = view_override != nullptr ? *view_override
-                                                    : read_view_;
-  OptionalReaderLock lk(self_latch ? nullptr : &plan.table->latch());
-  if (!plan.pk_cond.has_value() && !plan.idx_cond.has_value()) {
-    out.rows.reserve(plan.table->row_count());
-  }
-  TableScanCursor cursor(plan, view, self_latch);
-  for (const Row* row = cursor.Next(); row != nullptr; row = cursor.Next()) {
-    out.rows.push_back(*row);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// Streaming fast path
+// SELECT: source → WHERE → (group-aggregate | project + order keys) → sink
 // ---------------------------------------------------------------------------
 
-Result<std::optional<ExecResult>> Executor::TryStreamSelect(
-    const sql::SelectStatement& stmt, const std::vector<Value>& params) {
-  std::optional<ExecResult> fallback;  // nullopt → materializing path
-  if (stmt.from.size() != 1 || !stmt.joins.empty()) return fallback;
-
-  // Global aggregates (no GROUP BY) stream too: every item must be a plain
-  // non-DISTINCT aggregate call, and the one-row result leaves nothing for
-  // ORDER BY / LIMIT / HAVING to do, so those shapes stay on the
-  // materializing path. Everything else aggregated falls back as before.
-  ArenaVector<const sql::FuncCallExpr*> agg_items;
-  if (stmt.HasAggregation() || !stmt.group_by.empty()) {
-    if (!stmt.group_by.empty() || stmt.distinct || stmt.having != nullptr ||
-        !stmt.order_by.empty() || stmt.limit.has_value()) {
-      return fallback;
-    }
-    for (const auto& item : stmt.items) {
-      if (item.is_star || item.expr == nullptr ||
-          item.expr->kind() != sql::ExprKind::kFuncCall) {
-        return fallback;
-      }
-      const auto* f = static_cast<const sql::FuncCallExpr*>(item.expr.get());
-      if (!f->IsAggregate() || f->distinct ||
-          (!f->star && f->args.size() != 1)) {
-        return fallback;
-      }
-      agg_items.push_back(f);
-    }
-  }
-
-  SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
-                          PlanScan(stmt.from[0], stmt.where.get(), params));
-  storage::Table* table = plan.table;
-
-  // Bind source columns (single table ⇒ source index == schema index).
-  BoundColumns columns;
-  const std::string& qual = stmt.from[0].EffectiveName();
-  for (const auto& col : table->schema().columns()) {
-    columns.Add(qual, col.name);
-  }
-
-  if (!agg_items.empty()) {
-    // Aggregate fold: accumulators on the stack, source rows consumed batch
-    // by batch off the cursor — nothing is materialized, so the read path
-    // stays allocation-free per row (the accumulator vector and the single
-    // output row are the statement's O(1) footprint).
-    std::vector<AggState> states(agg_items.size());
-    for (size_t i = 0; i < agg_items.size(); ++i) {
-      SPHERE_ASSIGN_OR_RETURN(states[i].type, AggTypeOf(agg_items[i]->name));
-    }
-    {
-      // Same latch profile as the row stream below: mvcc self-latches per
-      // batch against the statement snapshot; latch mode holds one shared
-      // section across the whole fold.
-      const bool self_latch = mvcc();
-      OptionalReaderLock lk(self_latch ? nullptr : &table->latch());
-      TableScanCursor cursor(plan, read_view_, self_latch);
-      for (const Row* row = cursor.Next(); row != nullptr;
-           row = cursor.Next()) {
-        if (stmt.where != nullptr) {
-          SPHERE_ASSIGN_OR_RETURN(
-              Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-          if (!IsTruthy(ok)) continue;
-        }
-        for (size_t i = 0; i < agg_items.size(); ++i) {
-          if (agg_items[i]->star) {
-            states[i].Accumulate(Value(int64_t{1}));
-          } else {
-            SPHERE_ASSIGN_OR_RETURN(
-                Value v,
-                EvalExpr(agg_items[i]->args[0].get(), columns, *row, params));
-            states[i].Accumulate(v);
-          }
-        }
-      }
-    }
-    std::vector<Row> output = RowStore::Instance().AcquireShell();
-    std::vector<Row> one = RowStore::Instance().AcquireShell();
-    RowStore::Instance().AcquireRows(&one, 1);
-    Row out_row;
-    if (!one.empty()) {
-      out_row = std::move(one.back());
-      one.pop_back();
-    }
-    RowStore::Instance().Release(std::move(one));
-    out_row.clear();
-    out_row.reserve(states.size());
-    for (const AggState& s : states) out_row.push_back(s.Finish());
-    output.push_back(std::move(out_row));
-    return std::optional<ExecResult>(
-        ExecResult::Query(std::make_unique<VectorResultSet>(
-            BuildLabels(stmt, columns), std::move(output))));
-  }
-
-  // Every ORDER BY column must resolve against the source; otherwise the
-  // materializing path owns the statement, including its error reporting.
-  for (const auto& ob : stmt.order_by) {
-    if (ob.expr->kind() == sql::ExprKind::kColumnRef) {
-      const auto* c = static_cast<const sql::ColumnRefExpr*>(ob.expr.get());
-      if (columns.Resolve(c->table, c->column) < 0) return fallback;
-    }
-  }
-
-  // Classify the ORDER BY. An ascending first key on the primary key of a
-  // pk-ordered scan makes the sort a no-op: the key is unique, so later
-  // ORDER BY columns can never break a tie.
-  enum class OrderMode { kNone, kIndexOrdered, kTopK };
-  OrderMode order = OrderMode::kNone;
-  if (!stmt.order_by.empty()) {
-    order = OrderMode::kTopK;
-    const auto& first = stmt.order_by[0];
-    if (!first.desc && first.expr->kind() == sql::ExprKind::kColumnRef &&
-        table->pk_index() >= 0 && plan.pk_ordered()) {
-      const auto* c = static_cast<const sql::ColumnRefExpr*>(first.expr.get());
-      if (columns.Resolve(c->table, c->column) == table->pk_index()) {
-        order = OrderMode::kIndexOrdered;
-      }
-    }
-  }
-
-  bool has_count = stmt.limit.has_value() && stmt.limit->count >= 0;
-  size_t offset =
-      stmt.limit.has_value()
-          ? static_cast<size_t>(std::max<int64_t>(0, stmt.limit->offset))
-          : 0;
-  size_t budget = has_count
-                      ? offset + static_cast<size_t>(stmt.limit->count)
-                      : std::numeric_limits<size_t>::max();
-
-  if (order == OrderMode::kTopK && (!has_count || stmt.distinct)) {
-    // Without a LIMIT count there is nothing to bound; with DISTINCT the
-    // baseline dedups *after* sorting, so truncating to k rows first would
-    // let duplicates consume the budget. Both use the materializing path.
-    return fallback;
-  }
-
-  std::vector<std::string> labels = BuildLabels(stmt, columns);
-  // Output spine and (on the plain-stream path) projection rows come from
-  // the recycler.
-  std::vector<Row> output = RowStore::Instance().AcquireShell();
-  std::vector<Row> spare = RowStore::Instance().AcquireShell();
-  {
-    // mvcc: the cursor self-latches per batch and resolves version chains
-    // against the statement snapshot — writers never wait for this drain.
-    // latch: one shared section across the whole drain, the blocking
-    // baseline profile (identical results, old latch behaviour).
+Status Executor::MaterializeJoin(const sql::SelectStatement& stmt,
+                                 const std::vector<Value>& params,
+                                 BoundColumns* columns,
+                                 std::vector<Row>* rows) {
+  // Each base table is copied out under its read view (index-assisted when
+  // the WHERE permits); the copies outlive the latch, so the join runs
+  // unlatched. The WHERE itself runs later, in the pipeline.
+  auto scan = [&](const sql::TableRef& ref, BoundColumns* cols,
+                  std::vector<Row>* out) -> Status {
+    SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
+                            PlanScan(ref, stmt.where.get(), params));
+    BindTable(ref, *plan.table, cols);
     const bool self_latch = mvcc();
-    OptionalReaderLock lk(self_latch ? nullptr : &table->latch());
-    TableScanCursor cursor(plan, read_view_, self_latch);
-    if (order == OrderMode::kTopK) {
-      // Bounded top-k: keep the first `offset+count` rows of the stable sort
-      // order, O(n log k) instead of O(n log n) and O(k) extra memory.
-      TopKHeap<std::pair<Row, Row>, KeyedRowLess> heap(
-          budget, KeyedRowLess{&stmt.order_by});
-      for (const Row* row = cursor.Next(); row != nullptr;
-           row = cursor.Next()) {
-        if (stmt.where != nullptr) {
-          SPHERE_ASSIGN_OR_RETURN(
-              Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-          if (!IsTruthy(ok)) continue;
-        }
-        Row keys;
-        keys.reserve(stmt.order_by.size());
-        for (const auto& ob : stmt.order_by) {
-          SPHERE_ASSIGN_OR_RETURN(
-              Value v, EvalExpr(ob.expr.get(), columns, *row, params));
-          keys.push_back(std::move(v));
-        }
-        SPHERE_ASSIGN_OR_RETURN(Row projected,
-                                ProjectRow(stmt, columns, *row, params));
-        heap.Push({std::move(keys), std::move(projected)});
-      }
-      std::vector<std::pair<Row, Row>> sorted = heap.TakeSorted();
-      output.reserve(sorted.size());
-      for (auto& [keys, row] : sorted) output.push_back(std::move(row));
-    } else if (stmt.distinct) {
-      // Dedup in scan order; stop once `offset+count` distinct rows exist.
-      RowIndexSet seen(&output);
-      for (const Row* row = cursor.Next();
-           row != nullptr && output.size() < budget; row = cursor.Next()) {
-        if (stmt.where != nullptr) {
-          SPHERE_ASSIGN_OR_RETURN(
-              Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-          if (!IsTruthy(ok)) continue;
-        }
-        SPHERE_ASSIGN_OR_RETURN(Row projected,
-                                ProjectRow(stmt, columns, *row, params));
-        output.push_back(std::move(projected));
-        if (!seen.Admit(output.size() - 1)) output.pop_back();
-      }
-    } else {
-      // Plain stream: skip the first `offset` matches without projecting
-      // them, stop as soon as `count` rows are emitted.
-      size_t count_limit = has_count
-                               ? static_cast<size_t>(stmt.limit->count)
-                               : std::numeric_limits<size_t>::max();
-      // Pooled projection: recycled rows are pulled in bounded chunks (one
-      // pool lock per chunk) and assigned in place. The first chunk is
-      // capped by what the access path can possibly emit, so a point lookup
-      // borrows one row, not a whole chunk.
-      constexpr size_t kSpareChunk = 256;
-      ArenaVector<ProjectionStep> steps = BuildProjectionSteps(stmt, columns);
-      size_t dry_until = 0;  ///< probe the pool again at this output size
-      size_t bound = count_limit;
-      if (plan.pk_cond.has_value() &&
-          plan.pk_cond->kind != ColumnCondition::Kind::kRange) {
-        bound = std::min(bound, plan.pk_cond->values.size());
-      }
-      RowStore::Instance().AcquireRows(&spare, std::min(bound, kSpareChunk));
-      size_t skipped = 0;
-      for (const Row* row = cursor.Next();
-           row != nullptr && output.size() < count_limit;
-           row = cursor.Next()) {
-        if (stmt.where != nullptr) {
-          SPHERE_ASSIGN_OR_RETURN(
-              Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-          if (!IsTruthy(ok)) continue;
-        }
-        if (skipped < offset) {
-          ++skipped;
-          continue;
-        }
-        if (spare.empty() && output.size() >= dry_until) {
-          if (RowStore::Instance().AcquireRows(&spare, kSpareChunk) == 0) {
-            dry_until = output.size() + kSpareChunk;
-          }
-        }
-        Row projected;
-        if (!spare.empty()) {
-          projected = std::move(spare.back());
-          spare.pop_back();
-        }
-        SPHERE_RETURN_NOT_OK(
-            ProjectRowInto(steps, columns, *row, params, &projected));
-        output.push_back(std::move(projected));
-      }
-      offset = 0;  // already applied during the scan
-    }
-  }
-  RowStore::Instance().Release(std::move(spare));
+    OptionalReaderLock lk(self_latch ? nullptr : &plan.table->latch());
+    return DrainMatches(plan, read_view_, self_latch, nullptr, *cols, params,
+                        [out](const Row& row) -> Result<bool> {
+                          out->push_back(row);
+                          return true;
+                        });
+  };
+  auto append = [](const Row& l, const Row& r) {
+    Row joined = l;
+    joined.insert(joined.end(), r.begin(), r.end());
+    return joined;
+  };
 
-  // TopK/DISTINCT paths produced rows [0, offset+count); drop the offset.
-  if (offset > 0) {
-    if (offset >= output.size()) {
-      output.clear();
-    } else {
-      output.erase(output.begin(), output.begin() + static_cast<long>(offset));
-    }
-  }
-  return std::optional<ExecResult>(ExecResult::Query(
-      std::make_unique<VectorResultSet>(std::move(labels), std::move(output))));
-}
-
-// ---------------------------------------------------------------------------
-// SELECT
-// ---------------------------------------------------------------------------
-
-Result<Executor::SourceRows> Executor::BuildSource(
-    const sql::SelectStatement& stmt, const std::vector<Value>& params) {
-  if (stmt.from.empty()) {
-    // SELECT without FROM: one empty row.
-    SourceRows out;
-    out.rows.emplace_back();
-    return out;
-  }
-  SPHERE_ASSIGN_OR_RETURN(SourceRows acc,
-                          ScanTable(stmt.from[0], stmt.where.get(), params));
-
-  // Comma-joined tables: cross product (WHERE filters later).
+  SPHERE_RETURN_NOT_OK(scan(stmt.from[0], columns, rows));
+  // Comma-joined tables: cross product (the WHERE filters later).
   for (size_t i = 1; i < stmt.from.size(); ++i) {
-    SPHERE_ASSIGN_OR_RETURN(SourceRows next,
-                            ScanTable(stmt.from[i], stmt.where.get(), params));
-    SourceRows combined;
-    combined.columns = acc.columns;
-    for (size_t c = 0; c < next.columns.size(); ++c) {
-      combined.columns.Add(next.columns.at(c).first, next.columns.at(c).second);
+    std::vector<Row> next, combined;
+    SPHERE_RETURN_NOT_OK(scan(stmt.from[i], columns, &next));
+    combined.reserve(rows->size() * next.size());
+    for (const Row& l : *rows) {
+      for (const Row& r : next) combined.push_back(append(l, r));
     }
-    combined.rows.reserve(acc.rows.size() * next.rows.size());
-    for (const Row& l : acc.rows) {
-      for (const Row& r : next.rows) {
-        Row joined = l;
-        joined.insert(joined.end(), r.begin(), r.end());
-        combined.rows.push_back(std::move(joined));
-      }
-    }
-    acc = std::move(combined);
+    *rows = std::move(combined);
   }
 
   // Explicit JOIN ... ON clauses.
   for (const auto& join : stmt.joins) {
-    SPHERE_ASSIGN_OR_RETURN(SourceRows right,
-                            ScanTable(join.table, stmt.where.get(), params));
-    SourceRows combined;
-    combined.columns = acc.columns;
-    for (size_t c = 0; c < right.columns.size(); ++c) {
-      combined.columns.Add(right.columns.at(c).first, right.columns.at(c).second);
+    BoundColumns left_columns = *columns;
+    BoundColumns right_columns;
+    std::vector<Row> right, combined;
+    SPHERE_RETURN_NOT_OK(scan(join.table, &right_columns, &right));
+    for (size_t c = 0; c < right_columns.size(); ++c) {
+      columns->Add(right_columns.at(c).first, right_columns.at(c).second);
     }
 
     // Hash join when ON is a single equality with one side from each input.
@@ -665,21 +533,15 @@ Result<Executor::SourceRows> Executor::BuildSource(
       if (b->op == sql::BinaryOp::kEq &&
           b->left->kind() == sql::ExprKind::kColumnRef &&
           b->right->kind() == sql::ExprKind::kColumnRef) {
-        const auto* lc = static_cast<const sql::ColumnRefExpr*>(b->left.get());
-        const auto* rc = static_cast<const sql::ColumnRefExpr*>(b->right.get());
-        int l_in_acc = acc.columns.Resolve(lc->table, lc->column);
-        int r_in_right = right.columns.Resolve(rc->table, rc->column);
-        if (l_in_acc >= 0 && r_in_right >= 0) {
-          left_key = l_in_acc;
-          right_key = r_in_right;
-        } else {
-          int r_in_acc = acc.columns.Resolve(rc->table, rc->column);
-          int l_in_right = right.columns.Resolve(lc->table, lc->column);
-          if (r_in_acc >= 0 && l_in_right >= 0) {
-            left_key = r_in_acc;
-            right_key = l_in_right;
-          }
+        const sql::ColumnRefExpr* sides[] = {
+            static_cast<const sql::ColumnRefExpr*>(b->left.get()),
+            static_cast<const sql::ColumnRefExpr*>(b->right.get())};
+        for (int l = 0; l < 2 && (left_key < 0 || right_key < 0); ++l) {
+          left_key = left_columns.Resolve(sides[l]->table, sides[l]->column);
+          right_key = right_columns.Resolve(sides[1 - l]->table,
+                                            sides[1 - l]->column);
         }
+        if (left_key < 0 || right_key < 0) left_key = -1;
       }
     }
 
@@ -687,278 +549,212 @@ Result<Executor::SourceRows> Executor::BuildSource(
     if (join.type == sql::JoinClause::Type::kRight) {
       return Status::Unsupported("RIGHT JOIN (rewrite as LEFT JOIN)");
     }
+    Row null_pad(right_columns.size(), Value::Null());
 
     if (left_key >= 0) {
       std::unordered_multimap<uint64_t, const Row*> hash;
-      hash.reserve(right.rows.size());
-      for (const Row& r : right.rows) {
+      hash.reserve(right.size());
+      for (const Row& r : right) {
         hash.emplace(r[static_cast<size_t>(right_key)].Hash(), &r);
       }
-      for (const Row& l : acc.rows) {
+      for (const Row& l : *rows) {
         const Value& key = l[static_cast<size_t>(left_key)];
         bool matched = false;
         auto [lo, hi] = hash.equal_range(key.Hash());
         for (auto it = lo; it != hi; ++it) {
           const Row& r = *it->second;
           if (r[static_cast<size_t>(right_key)].Compare(key) != 0) continue;
-          Row joined = l;
-          joined.insert(joined.end(), r.begin(), r.end());
-          combined.rows.push_back(std::move(joined));
+          combined.push_back(append(l, r));
           matched = true;
         }
-        if (!matched && left_outer) {
-          Row joined = l;
-          joined.insert(joined.end(), right.columns.size(), Value::Null());
-          combined.rows.push_back(std::move(joined));
-        }
+        if (!matched && left_outer) combined.push_back(append(l, null_pad));
       }
     } else {
       // Nested-loop join with ON predicate (or cross join).
-      for (const Row& l : acc.rows) {
+      for (const Row& l : *rows) {
         bool matched = false;
-        for (const Row& r : right.rows) {
-          Row joined = l;
-          joined.insert(joined.end(), r.begin(), r.end());
+        for (const Row& r : right) {
+          Row joined = append(l, r);
           if (join.on != nullptr) {
             SPHERE_ASSIGN_OR_RETURN(
-                Value ok, EvalExpr(join.on.get(), combined.columns, joined, params));
+                Value ok, EvalExpr(join.on.get(), *columns, joined, params));
             if (!IsTruthy(ok)) continue;
           }
-          combined.rows.push_back(std::move(joined));
+          combined.push_back(std::move(joined));
           matched = true;
         }
-        if (!matched && left_outer) {
-          Row joined = l;
-          joined.insert(joined.end(), right.columns.size(), Value::Null());
-          combined.rows.push_back(std::move(joined));
-        }
+        if (!matched && left_outer) combined.push_back(append(l, null_pad));
       }
     }
-    acc = std::move(combined);
+    *rows = std::move(combined);
   }
-
-  // WHERE filter.
-  if (stmt.where != nullptr) {
-    std::vector<Row> filtered;
-    filtered.reserve(acc.rows.size());
-    for (Row& row : acc.rows) {
-      SPHERE_ASSIGN_OR_RETURN(
-          Value ok, EvalExpr(stmt.where.get(), acc.columns, row, params));
-      if (IsTruthy(ok)) filtered.push_back(std::move(row));
-    }
-    acc.rows = std::move(filtered);
-  }
-  return acc;
+  return Status::OK();
 }
 
 Result<ExecResult> Executor::ExecuteSelect(const sql::SelectStatement& stmt,
                                            const std::vector<Value>& params) {
-  SPHERE_ASSIGN_OR_RETURN(std::optional<ExecResult> streamed,
-                          TryStreamSelect(stmt, params));
-  if (streamed.has_value()) return std::move(*streamed);
+  // Source. One table streams through a cursor: mvcc self-latches per
+  // batch against the statement snapshot, latch mode holds one shared
+  // section across the drain. Joins and comma joins are
+  // materialized first; a SELECT without FROM reads one empty row.
+  BoundColumns columns;
+  std::optional<ScanPlan> plan;
+  std::vector<Row> materialized;
+  if (stmt.from.size() == 1 && stmt.joins.empty()) {
+    SPHERE_ASSIGN_OR_RETURN(plan,
+                            PlanScan(stmt.from[0], stmt.where.get(), params));
+    BindTable(stmt.from[0], *plan->table, &columns);
+  } else if (stmt.from.empty()) {
+    materialized.emplace_back();
+  } else {
+    SPHERE_RETURN_NOT_OK(
+        MaterializeJoin(stmt, params, &columns, &materialized));
+  }
+  std::vector<std::string> labels = RowStore::Instance().AcquireLabelShell();
+  ArenaVector<ProjectionStep> steps = BuildOutput(stmt, columns, &labels);
+  const size_t width = steps.size();
 
-  SPHERE_ASSIGN_OR_RETURN(SourceRows src, BuildSource(stmt, params));
-  std::vector<std::string> labels = BuildLabels(stmt, src.columns);
-
-  bool aggregated = stmt.HasAggregation() || !stmt.group_by.empty();
-  std::vector<Row> output;
-
-  if (aggregated) {
-    AggPlan plan;
-    for (const auto& item : stmt.items) {
-      if (item.expr) plan.Collect(item.expr.get());
+  // Pulls each source row that passes the WHERE into `consume` until it
+  // returns false. Only what `consume` projects or copies outlives a row.
+  auto drain = [&](auto&& consume) -> Status {
+    if (plan.has_value()) {
+      const bool self_latch = mvcc();
+      OptionalReaderLock lk(self_latch ? nullptr : &plan->table->latch());
+      return DrainMatches(*plan, read_view_, self_latch, stmt.where.get(),
+                          columns, params, consume);
     }
-    if (stmt.having) plan.Collect(stmt.having.get());
-
-    std::map<Row, Group, RowLess> groups;
-    for (const Row& row : src.rows) {
-      Row key;
-      key.reserve(stmt.group_by.size());
-      for (const auto& g : stmt.group_by) {
-        SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(g.get(), src.columns, row, params));
-        key.push_back(std::move(v));
-      }
-      auto [it, inserted] = groups.try_emplace(key);
-      Group& group = it->second;
-      if (inserted) {
-        group.key = key;
-        group.first_row = row;
-        group.aggs.resize(plan.exprs.size());
-        for (size_t i = 0; i < plan.exprs.size(); ++i) {
-          SPHERE_ASSIGN_OR_RETURN(group.aggs[i].type, AggTypeOf(plan.exprs[i]->name));
-          group.aggs[i].distinct = plan.exprs[i]->distinct;
-        }
-      }
-      for (size_t i = 0; i < plan.exprs.size(); ++i) {
-        const auto* f = plan.exprs[i];
-        if (f->star) {
-          group.aggs[i].Accumulate(Value(int64_t{1}));
-        } else if (!f->args.empty()) {
-          SPHERE_ASSIGN_OR_RETURN(
-              Value v, EvalExpr(f->args[0].get(), src.columns, row, params));
-          group.aggs[i].Accumulate(v);
-        }
-      }
-    }
-    // Global aggregate over empty input still yields one row.
-    if (groups.empty() && stmt.group_by.empty()) {
-      Group g;
-      g.first_row.assign(src.columns.size(), Value::Null());
-      g.aggs.resize(plan.exprs.size());
-      for (size_t i = 0; i < plan.exprs.size(); ++i) {
-        SPHERE_ASSIGN_OR_RETURN(g.aggs[i].type, AggTypeOf(plan.exprs[i]->name));
-        g.aggs[i].distinct = plan.exprs[i]->distinct;
-      }
-      groups.emplace(Row{}, std::move(g));
-    }
-
-    for (auto& [key, group] : groups) {
-      if (stmt.having) {
+    for (const Row& row : materialized) {
+      if (stmt.where != nullptr) {
         SPHERE_ASSIGN_OR_RETURN(
-            Value ok, EvalOverGroup(stmt.having.get(), plan, group, src.columns, params));
+            Value ok, EvalExpr(stmt.where.get(), columns, row, params));
         if (!IsTruthy(ok)) continue;
       }
-      Row out_row;
-      out_row.reserve(stmt.items.size());
-      for (const auto& item : stmt.items) {
-        if (item.is_star) {
-          return Status::InvalidArgument("SELECT * cannot be aggregated");
-        }
-        SPHERE_ASSIGN_OR_RETURN(
-            Value v, EvalOverGroup(item.expr.get(), plan, group, src.columns, params));
-        out_row.push_back(std::move(v));
-      }
-      output.push_back(std::move(out_row));
+      SPHERE_ASSIGN_OR_RETURN(bool more, consume(row));
+      if (!more) break;
     }
-  } else {
-    // Pre-projection ORDER BY when every key resolves in the source.
-    bool sort_pre_projection = !stmt.order_by.empty();
-    for (const auto& ob : stmt.order_by) {
-      if (ob.expr->kind() == sql::ExprKind::kColumnRef) {
-        const auto* c = static_cast<const sql::ColumnRefExpr*>(ob.expr.get());
-        if (src.columns.Resolve(c->table, c->column) < 0) {
-          sort_pre_projection = false;
-        }
-      }
-    }
-    if (sort_pre_projection) {
-      // Decorate-sort: evaluate keys once per row.
-      std::vector<std::pair<Row, Row>> keyed;  // (keys, row)
-      keyed.reserve(src.rows.size());
-      for (Row& row : src.rows) {
-        Row keys;
-        keys.reserve(stmt.order_by.size());
-        for (const auto& ob : stmt.order_by) {
-          SPHERE_ASSIGN_OR_RETURN(Value v,
-                                  EvalExpr(ob.expr.get(), src.columns, row, params));
-          keys.push_back(std::move(v));
-        }
-        keyed.emplace_back(std::move(keys), std::move(row));
-      }
-      // Rows beyond the pushed-down `offset+count` window can never appear in
-      // the output (DISTINCT dedups only after this sort, so it blocks the
-      // truncation), so a bounded top-k replaces the full stable sort.
-      size_t keep = keyed.size();
-      if (stmt.limit.has_value() && stmt.limit->count >= 0 && !stmt.distinct) {
-        size_t off = static_cast<size_t>(std::max<int64_t>(0, stmt.limit->offset));
-        keep = std::min(keep, off + static_cast<size_t>(stmt.limit->count));
-      }
-      TopKStable(&keyed, keep, KeyedRowLess{&stmt.order_by});
-      src.rows.clear();
-      for (auto& [k, row] : keyed) src.rows.push_back(std::move(row));
-    }
+    return Status::OK();
+  };
 
-    output.reserve(src.rows.size());
-    for (const Row& row : src.rows) {
-      SPHERE_ASSIGN_OR_RETURN(Row out_row,
-                              ProjectRow(stmt, src.columns, row, params));
-      output.push_back(std::move(out_row));
-    }
-  }
+  ArenaVector<SortKey> keys;
 
-  // DISTINCT.
-  if (stmt.distinct) {
-    DedupRowsInPlace(&output);
+  AggPlan aggs;
+  for (const auto& item : stmt.items) {
+    if (item.expr != nullptr) aggs.Collect(item.expr.get());
   }
+  if (stmt.having != nullptr) aggs.Collect(stmt.having.get());
+  for (const auto& ob : stmt.order_by) aggs.Collect(ob.expr.get());
 
-  // Post-projection ORDER BY (aggregated queries, or aliases of computed
-  // items): resolve keys against output labels.
-  bool need_post_sort = !stmt.order_by.empty() && aggregated;
-  if (!stmt.order_by.empty() && !aggregated) {
-    // Already sorted pre-projection unless some key failed to resolve there.
-    for (const auto& ob : stmt.order_by) {
-      if (ob.expr->kind() == sql::ExprKind::kColumnRef) {
-        const auto* c = static_cast<const sql::ColumnRefExpr*>(ob.expr.get());
-        if (src.columns.Resolve(c->table, c->column) < 0) need_post_sort = true;
-      }
+  if (aggs.calls.empty() && stmt.group_by.empty()) {
+    // Order keys evaluate on the source row when every column key resolves
+    // there; otherwise all of them resolve against the output.
+    bool source_keys = std::all_of(
+        stmt.order_by.begin(), stmt.order_by.end(), [&](const auto& ob) {
+          return ob.expr->kind() != sql::ExprKind::kColumnRef ||
+                 StepFor(ob.expr.get(), columns).col >= 0;
+        });
+    // An ascending first key on the pk of a pk-ordered scan makes the sort
+    // a no-op: the key is unique, so later keys never break a tie.
+    bool index_ordered = false;
+    if (source_keys && plan.has_value() && !stmt.order_by.empty() &&
+        !stmt.order_by[0].desc && plan->table->pk_index() >= 0 &&
+        plan->pk_ordered()) {
+      ProjectionStep first = StepFor(stmt.order_by[0].expr.get(), columns);
+      index_ordered = first.col == plan->table->pk_index();
     }
-  }
-  if (need_post_sort) {
-    std::vector<int> key_idx;
-    const sql::Dialect& d = sql::Dialect::MySQL();
-    for (const auto& ob : stmt.order_by) {
-      std::string key_label;
-      if (ob.expr->kind() == sql::ExprKind::kColumnRef) {
-        key_label = static_cast<const sql::ColumnRefExpr*>(ob.expr.get())->column;
-      } else {
-        key_label = ob.expr->ToSQL(d);
-      }
-      int idx = -1;
-      for (size_t i = 0; i < labels.size(); ++i) {
-        if (EqualsIgnoreCase(labels[i], key_label)) {
-          idx = static_cast<int>(i);
-          break;
-        }
-      }
-      // Fall back to matching the serialized select expressions.
-      if (idx < 0) {
-        for (size_t i = 0; i < stmt.items.size(); ++i) {
-          if (stmt.items[i].expr != nullptr &&
-              stmt.items[i].expr->ToSQL(d) == ob.expr->ToSQL(d)) {
-            idx = static_cast<int>(i);
+    if (!source_keys) {
+      SPHERE_RETURN_NOT_OK(ResolveOutputKeys(stmt, labels, &keys));
+    } else if (!index_ordered) {
+      // A key that is already an output cell is read from there; any other
+      // key rides along as an extra cell after the output.
+      for (const auto& ob : stmt.order_by) {
+        ProjectionStep key = StepFor(ob.expr.get(), columns);
+        size_t cell = steps.size();
+        for (size_t i = 0; i < width && key.col >= 0; ++i) {
+          if (steps[i].col == key.col) {
+            cell = i;
             break;
           }
         }
+        if (cell == steps.size()) steps.push_back(key);
+        keys.push_back(SortKey{cell, ob.desc});
       }
-      if (idx < 0) {
-        return Status::InvalidArgument("ORDER BY key not in select list: " +
-                                       key_label);
-      }
-      key_idx.push_back(idx);
     }
-    // DISTINCT already ran, so rows past `offset+count` cannot surface —
-    // bound the sort to the limit window.
-    size_t keep = output.size();
-    if (stmt.limit.has_value() && stmt.limit->count >= 0) {
-      size_t off = static_cast<size_t>(std::max<int64_t>(0, stmt.limit->offset));
-      keep = std::min(keep, off + static_cast<size_t>(stmt.limit->count));
+    RowSink sink(stmt, width, std::move(keys));
+    if (!sink.Done()) {
+      SPHERE_RETURN_NOT_OK(drain([&](const Row& row) -> Result<bool> {
+        if (sink.SkipNext()) return true;
+        SPHERE_RETURN_NOT_OK(
+            ProjectRowInto(steps, columns, row, params, nullptr, sink.Slot()));
+        sink.Push();
+        return !sink.Done();
+      }));
     }
-    TopKStable(&output, keep, [&](const Row& a, const Row& b) {
-      for (size_t i = 0; i < key_idx.size(); ++i) {
-        int c = a[static_cast<size_t>(key_idx[i])].Compare(
-            b[static_cast<size_t>(key_idx[i])]);
-        if (c != 0) return stmt.order_by[i].desc ? c > 0 : c < 0;
-      }
-      return false;
-    });
+    return ExecResult::Query(
+        std::make_unique<VectorResultSet>(std::move(labels), sink.Finish()));
   }
 
-  // LIMIT / OFFSET.
-  if (stmt.limit.has_value()) {
-    size_t off = static_cast<size_t>(std::max<int64_t>(0, stmt.limit->offset));
-    if (off >= output.size()) {
-      output.clear();
-    } else {
-      output.erase(output.begin(), output.begin() + static_cast<long>(off));
-      if (stmt.limit->count >= 0 &&
-          output.size() > static_cast<size_t>(stmt.limit->count)) {
-        output.resize(static_cast<size_t>(stmt.limit->count));
+  // Aggregated: fold every source row into its group (a global aggregate
+  // is the one group with the empty key), then, once the source's latch
+  // scope has closed, finish the groups into the sink in ascending
+  // group-key order.
+  GroupMap groups;
+  auto group_of = [&](const Row& key, const Row& row) -> Group& {
+    auto it = groups.find(key);
+    if (it != groups.end()) return it->second;
+    Group& g = groups[key];
+    if (aggs.reads_columns) g.first_row = row;
+    for (const sql::FuncCallExpr* f : aggs.calls) g.aggs.emplace_back(f);
+    return g;
+  };
+  Row key;
+  SPHERE_RETURN_NOT_OK(drain([&](const Row& row) -> Result<bool> {
+    key.clear();
+    for (const auto& e : stmt.group_by) {
+      SPHERE_ASSIGN_OR_RETURN(Value v, EvalExpr(e.get(), columns, row, params));
+      key.push_back(std::move(v));
+    }
+    Group& g = group_of(key, row);
+    for (size_t i = 0; i < aggs.calls.size(); ++i) {
+      const sql::FuncCallExpr* f = aggs.calls[i];
+      if (f->star) {
+        g.aggs[i].Accumulate(Value(int64_t{1}));
+      } else if (!f->args.empty()) {
+        SPHERE_ASSIGN_OR_RETURN(
+            Value v, EvalExpr(f->args[0].get(), columns, row, params));
+        g.aggs[i].Accumulate(v);
       }
     }
+    return true;
+  }));
+  // A global aggregate over empty input still yields one row.
+  if (groups.empty() && stmt.group_by.empty()) {
+    group_of(key, Row(columns.size(), Value::Null()));
   }
 
+  if (!stmt.order_by.empty()) {
+    SPHERE_RETURN_NOT_OK(ResolveOutputKeys(stmt, labels, &keys));
+  }
+  bool star = false;
+  for (const auto& item : stmt.items) star = star || item.is_star;
+  RowSink sink(stmt, width, std::move(keys));
+  ArenaVector<Value> finished(aggs.calls.size());
+  AggregateBinding binding{&aggs.calls, finished.data()};
+  for (const auto& [k, g] : groups) {
+    for (size_t i = 0; i < g.aggs.size(); ++i) finished[i] = g.aggs[i].Finish();
+    if (stmt.having != nullptr) {
+      SPHERE_ASSIGN_OR_RETURN(Value ok, EvalExpr(stmt.having.get(), columns,
+                                                 g.first_row, params, &binding));
+      if (!IsTruthy(ok)) continue;
+    }
+    if (star) return Status::InvalidArgument("SELECT * cannot be aggregated");
+    if (sink.SkipNext()) continue;
+    SPHERE_RETURN_NOT_OK(ProjectRowInto(steps, columns, g.first_row, params,
+                                        &binding, sink.Slot()));
+    sink.Push();
+    if (sink.Done()) break;
+  }
   return ExecResult::Query(
-      std::make_unique<VectorResultSet>(std::move(labels), std::move(output)));
+      std::make_unique<VectorResultSet>(std::move(labels), sink.Finish()));
 }
 
 // ---------------------------------------------------------------------------
@@ -1061,103 +857,45 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStatement& stmt,
     target_cols.push_back(ci);
   }
 
-  // Index-backed point path (DESIGN.md §10): when the WHERE pins the primary
-  // key or a secondary-indexed column, find, filter and mutate under one
-  // writer section — O(matches · log n) instead of a full reader-lock
-  // snapshot followed by a per-row re-lookup.
+  // One lane for every predicate (DESIGN.md §10): the access-path cursor
+  // (PK point/range, secondary index, or full scan) finds the rows, and the
+  // WHERE and the SET both read the image that is current under the one
+  // writer section that also applies the change.
   SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
                           PlanScan(stmt.table, stmt.where.get(), params));
-  if (plan.pk_cond.has_value() || plan.idx_cond.has_value()) {
-    BoundColumns columns;
-    const std::string& qual = stmt.table.EffectiveName();
-    for (const auto& col : table->schema().columns()) {
-      columns.Add(qual, col.name);
-    }
-    int64_t writer =
-        txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
-    storage::ReadView wview = storage::ReadView::Latest(writer);
-    std::vector<std::pair<Value, Row>> pending;  // pk -> new image
-    std::vector<Row> old_images;
-    std::vector<Value> applied;  ///< updated PKs, for auto-commit restamp
-    {
-      WriterLock lk(table->latch());
-      {
-        TableScanCursor cursor(plan, wview, /*self_latch=*/false);
-        for (const Row* row = cursor.Next(); row != nullptr;
-             row = cursor.Next()) {
-          if (stmt.where != nullptr) {
-            SPHERE_ASSIGN_OR_RETURN(
-                Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-            if (!IsTruthy(ok)) continue;
-          }
-          Row new_row = *row;
+  BoundColumns columns;
+  BindTable(stmt.table, *table, &columns);
+  int64_t writer = txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
+  std::vector<std::pair<Value, Row>> pending;  // pk -> new image
+  std::vector<Row> old_images;
+  std::vector<Value> applied;  ///< updated PKs, for auto-commit restamp
+  {
+    WriterLock lk(table->latch());
+    SPHERE_RETURN_NOT_OK(DrainMatches(
+        plan, storage::ReadView::Latest(writer), /*self_latch=*/false,
+        stmt.where.get(), columns, params,
+        [&](const Row& row) -> Result<bool> {
+          Row new_row = row;
           for (size_t i = 0; i < stmt.assignments.size(); ++i) {
             SPHERE_ASSIGN_OR_RETURN(
                 Value v, EvalExpr(stmt.assignments[i].value.get(), columns,
-                                  *row, params));
+                                  row, params));
             new_row[static_cast<size_t>(target_cols[i])] = std::move(v);
           }
-          pending.emplace_back((*row)[static_cast<size_t>(pk)],
+          pending.emplace_back(row[static_cast<size_t>(pk)],
                                std::move(new_row));
-          if (txn != nullptr) old_images.push_back(*row);
-        }
-      }
-      // Apply after the scan: Update rewrites secondary-index postings the
-      // cursor may still be iterating.
-      applied.reserve(pending.size());
-      for (size_t i = 0; i < pending.size(); ++i) {
-        Status st = table->Update(pending[i].first, pending[i].second, writer);
-        if (!st.ok()) {
-          // Auto-commit: unlink this statement's pending versions so a
-          // mid-apply failure leaves no invisible garbage; in a txn the
-          // undo records already written cover rollback.
-          if (txn == nullptr) {
-            for (const Value& p : applied) {
-              table->AbortWrite(p, writer, /*newest_only=*/true);
-            }
-          }
-          return st;
-        }
-        applied.push_back(pending[i].first);
-        if (txn != nullptr) {
-          txn->AddUndo({storage::UndoRecord::Op::kUpdate, table->name(),
-                        pending[i].first, std::move(old_images[i])});
-        }
-      }
-    }
-    if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-    return ExecResult::Update(static_cast<int64_t>(pending.size()));
-  }
-
-  int64_t writer = txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
-  storage::ReadView wview = storage::ReadView::Latest(writer);
-  SPHERE_ASSIGN_OR_RETURN(
-      SourceRows src, ScanTable(stmt.table, stmt.where.get(), params, &wview));
-
-  int64_t updated = 0;
-  std::vector<Value> applied;
-  {
-    WriterLock lk(table->latch());
-    for (const Row& row : src.rows) {
-      if (stmt.where != nullptr) {
-        SPHERE_ASSIGN_OR_RETURN(
-            Value ok, EvalExpr(stmt.where.get(), src.columns, row, params));
-        if (!IsTruthy(ok)) continue;
-      }
-      // Re-fetch the current image: the scan snapshot may be stale.
-      const Value& key = row[static_cast<size_t>(pk)];
-      const Row* current = table->FindVisible(key, wview);
-      if (current == nullptr) continue;
-      Row new_row = *current;
-      for (size_t i = 0; i < stmt.assignments.size(); ++i) {
-        SPHERE_ASSIGN_OR_RETURN(
-            Value v, EvalExpr(stmt.assignments[i].value.get(), src.columns,
-                              *current, params));
-        new_row[static_cast<size_t>(target_cols[i])] = std::move(v);
-      }
-      Row old_row = *current;
-      Status st = table->Update(key, new_row, writer);
+          if (txn != nullptr) old_images.push_back(row);
+          return true;
+        }));
+    // Apply after the scan: Update rewrites secondary-index postings the
+    // cursor may still be iterating.
+    applied.reserve(pending.size());
+    for (size_t i = 0; i < pending.size(); ++i) {
+      Status st = table->Update(pending[i].first, pending[i].second, writer);
       if (!st.ok()) {
+        // Auto-commit: unlink this statement's pending versions so a
+        // mid-apply failure leaves no invisible garbage; in a txn the
+        // undo records already written cover rollback.
         if (txn == nullptr) {
           for (const Value& p : applied) {
             table->AbortWrite(p, writer, /*newest_only=*/true);
@@ -1165,16 +903,15 @@ Result<ExecResult> Executor::ExecuteUpdate(const sql::UpdateStatement& stmt,
         }
         return st;
       }
-      applied.push_back(key);
-      ++updated;
+      applied.push_back(pending[i].first);
       if (txn != nullptr) {
-        txn->AddUndo({storage::UndoRecord::Op::kUpdate, table->name(), key,
-                      std::move(old_row)});
+        txn->AddUndo({storage::UndoRecord::Op::kUpdate, table->name(),
+                      pending[i].first, std::move(old_images[i])});
       }
     }
   }
   if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-  return ExecResult::Update(updated);
+  return ExecResult::Update(static_cast<int64_t>(pending.size()));
 }
 
 Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStatement& stmt,
@@ -1185,83 +922,39 @@ Result<ExecResult> Executor::ExecuteDelete(const sql::DeleteStatement& stmt,
   int pk = table->pk_index();
   if (pk < 0) return Status::Unsupported("DELETE on table without primary key");
 
-  // Index-backed point path, mirroring ExecuteUpdate: collect the matching
-  // keys through the access-path cursor, then delete — all under one writer
-  // section (Delete restructures the leaf chain the cursor walks, so the
-  // two phases cannot interleave).
+  // The one lane, mirroring ExecuteUpdate: collect the matching keys
+  // through the access-path cursor, then delete, all under one writer
+  // section (Delete restructures the leaf chain the cursor walks, so the two
+  // phases cannot interleave).
   SPHERE_ASSIGN_OR_RETURN(ScanPlan plan,
                           PlanScan(stmt.table, stmt.where.get(), params));
-  if (plan.pk_cond.has_value() || plan.idx_cond.has_value()) {
-    BoundColumns columns;
-    const std::string& qual = stmt.table.EffectiveName();
-    for (const auto& col : table->schema().columns()) {
-      columns.Add(qual, col.name);
-    }
-    int64_t writer =
-        txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
-    storage::ReadView wview = storage::ReadView::Latest(writer);
-    std::vector<Value> keys;
-    std::vector<Value> applied;
-    int64_t removed = 0;
-    {
-      WriterLock lk(table->latch());
-      {
-        TableScanCursor cursor(plan, wview, /*self_latch=*/false);
-        for (const Row* row = cursor.Next(); row != nullptr;
-             row = cursor.Next()) {
-          if (stmt.where != nullptr) {
-            SPHERE_ASSIGN_OR_RETURN(
-                Value ok, EvalExpr(stmt.where.get(), columns, *row, params));
-            if (!IsTruthy(ok)) continue;
-          }
-          keys.push_back((*row)[static_cast<size_t>(pk)]);
-        }
-      }
-      applied.reserve(keys.size());
-      for (const Value& key : keys) {
-        Row old_row;
-        Status st = table->Delete(key, &old_row, writer);
-        if (!st.ok()) continue;  // already gone
-        ++removed;
-        applied.push_back(key);
-        if (txn != nullptr) {
-          txn->AddUndo({storage::UndoRecord::Op::kDelete, table->name(), key,
-                        std::move(old_row)});
-        }
-      }
-    }
-    if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-    return ExecResult::Update(removed);
-  }
-
+  BoundColumns columns;
+  BindTable(stmt.table, *table, &columns);
   int64_t writer = txn != nullptr ? txn->id() : db_->epochs()->NextWriterId();
-  storage::ReadView wview = storage::ReadView::Latest(writer);
-  SPHERE_ASSIGN_OR_RETURN(
-      SourceRows src, ScanTable(stmt.table, stmt.where.get(), params, &wview));
-
-  int64_t deleted = 0;
-  std::vector<Value> applied;
+  std::vector<Value> keys, applied;
   {
     WriterLock lk(table->latch());
-    for (const Row& row : src.rows) {
-      if (stmt.where != nullptr) {
-        SPHERE_ASSIGN_OR_RETURN(
-            Value ok, EvalExpr(stmt.where.get(), src.columns, row, params));
-        if (!IsTruthy(ok)) continue;
-      }
+    SPHERE_RETURN_NOT_OK(DrainMatches(
+        plan, storage::ReadView::Latest(writer), /*self_latch=*/false,
+        stmt.where.get(), columns, params,
+        [&](const Row& row) -> Result<bool> {
+          keys.push_back(row[static_cast<size_t>(pk)]);
+          return true;
+        }));
+    applied.reserve(keys.size());
+    for (const Value& key : keys) {
       Row old_row;
-      Status st = table->Delete(row[static_cast<size_t>(pk)], &old_row, writer);
+      Status st = table->Delete(key, &old_row, writer);
       if (!st.ok()) continue;  // already gone
-      ++deleted;
-      applied.push_back(row[static_cast<size_t>(pk)]);
+      applied.push_back(key);
       if (txn != nullptr) {
-        txn->AddUndo({storage::UndoRecord::Op::kDelete, table->name(),
-                      row[static_cast<size_t>(pk)], std::move(old_row)});
+        txn->AddUndo({storage::UndoRecord::Op::kDelete, table->name(), key,
+                      std::move(old_row)});
       }
     }
   }
   if (txn == nullptr) CommitAutoCommit(table, applied, writer);
-  return ExecResult::Update(deleted);
+  return ExecResult::Update(static_cast<int64_t>(applied.size()));
 }
 
 // ---------------------------------------------------------------------------

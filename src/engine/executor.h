@@ -1,7 +1,6 @@
 #ifndef SPHERE_ENGINE_EXECUTOR_H_
 #define SPHERE_ENGINE_EXECUTOR_H_
 
-#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -22,10 +21,16 @@ enum class ConcurrencyControl;
 ///
 /// Supported surface: SELECT with joins (inner/left/cross, hash join on
 /// equi-conditions), WHERE, GROUP BY + HAVING, the five SQL aggregates
-/// (including DISTINCT), ORDER BY, LIMIT/OFFSET, DISTINCT; INSERT (multi-row),
-/// UPDATE, DELETE; CREATE/DROP/TRUNCATE TABLE, CREATE INDEX. Point and range
-/// predicates on the primary key and equality on secondarily indexed columns
-/// use index scans.
+/// (including DISTINCT, nested anywhere in an expression), ORDER BY,
+/// LIMIT/OFFSET, DISTINCT; INSERT (multi-row), UPDATE, DELETE;
+/// CREATE/DROP/TRUNCATE TABLE, CREATE INDEX. Point and range predicates on
+/// the primary key and equality on secondarily indexed columns use index
+/// scans.
+///
+/// Every SELECT runs one pipeline (DESIGN.md §9): source → WHERE →
+/// (group-aggregate | project + order keys) → sink (sort, DISTINCT,
+/// OFFSET/LIMIT). UPDATE and DELETE each have one lane: the access-path
+/// cursor under one writer section (DESIGN.md §10).
 class Executor {
  public:
   /// `cc` is the owning node's read-path concurrency control.
@@ -40,11 +45,8 @@ class Executor {
                              storage::Transaction* txn);
 
  private:
-  struct SourceRows {
-    BoundColumns columns;
-    std::vector<Row> rows;
-  };
-
+  /// The SELECT pipeline. A single table streams through a scan cursor;
+  /// only projected rows and order keys outlive a source row.
   Result<ExecResult> ExecuteSelect(const sql::SelectStatement& stmt,
                                    const std::vector<Value>& params);
   Result<ExecResult> ExecuteInsert(const sql::InsertStatement& stmt,
@@ -63,25 +65,11 @@ class Executor {
   Result<ScanPlan> PlanScan(const sql::TableRef& ref, const sql::Expr* where,
                             const std::vector<Value>& params);
 
-  /// Streaming fast path for single-table, non-aggregated SELECTs: drives a
-  /// lazy scan cursor through filter → projection with LIMIT-aware early
-  /// termination, index-order sort elision and bounded top-k (DESIGN.md §9).
-  /// Returns nullopt when the statement needs the materializing path.
-  Result<std::optional<ExecResult>> TryStreamSelect(
-      const sql::SelectStatement& stmt, const std::vector<Value>& params);
-
-  /// Scans one table (index-assisted when `where` permits) into memory.
-  /// `view_override` (DML fallback lanes) resolves rows against the write
-  /// view instead of the statement's read view, under a caller-style reader
-  /// latch regardless of the concurrency-control mode.
-  Result<SourceRows> ScanTable(
-      const sql::TableRef& ref, const sql::Expr* where,
-      const std::vector<Value>& params,
-      const storage::ReadView* view_override = nullptr);
-
-  /// Builds the joined/filtered source relation of a SELECT.
-  Result<SourceRows> BuildSource(const sql::SelectStatement& stmt,
-                                 const std::vector<Value>& params);
+  /// Materializes the joined relation of a SELECT with joins or comma joins
+  /// into `rows` (bound by `columns`); the WHERE runs later, in the pipeline.
+  Status MaterializeJoin(const sql::SelectStatement& stmt,
+                         const std::vector<Value>& params,
+                         BoundColumns* columns, std::vector<Row>* rows);
 
   /// Auto-commit epilogue: restamps the statement's pending versions with a
   /// fresh commit epoch. Takes the commit section *before* the table latch

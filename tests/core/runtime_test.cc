@@ -142,6 +142,26 @@ TEST_F(RuntimeTest, GroupBySumMergesPartials) {
   EXPECT_DOUBLE_EQ(total, 190.0 * 10);
 }
 
+TEST_F(RuntimeTest, ShardedHavingAndNestedAggregatesAreRejected) {
+  // Each age has four users, one per shard, so every shard holds a partial
+  // group of one. The merge folds only top-level aggregate items, so these
+  // shapes must fail instead of answering 0 rows, 1.5 and 0.
+  for (const char* q :
+       {"SELECT age, COUNT(*) FROM t_user GROUP BY age HAVING COUNT(*) > 3",
+        "SELECT age, SUM(score) + 1 FROM t_user GROUP BY age",
+        "SELECT age, MAX(score) - MIN(score) FROM t_user GROUP BY age"}) {
+    auto r = cluster_->runtime()->Execute(q);
+    ASSERT_FALSE(r.ok()) << q;
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported) << q;
+  }
+  // A single-unit route passes both shapes through to its one node.
+  auto rows = Query(
+      "SELECT age, SUM(score) + 1 FROM t_user WHERE uid = 5 GROUP BY age "
+      "HAVING COUNT(*) = 1");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][1], Value(6.5));
+}
+
 TEST_F(RuntimeTest, BindingJoin) {
   auto rows = Query(
       "SELECT u.name, o.amount FROM t_user u JOIN t_order o ON u.uid = o.uid "

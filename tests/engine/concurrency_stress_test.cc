@@ -122,6 +122,54 @@ TEST(EngineConcurrencyStressTest, TransactionsRaceAutocommitReads) {
   EXPECT_EQ(total_row[0].AsInt(), 8 * 100 + 4 * 30);
 }
 
+TEST(EngineConcurrencyStressTest, UnindexedUpdateNeverOvershootsItsPredicate) {
+  // `v` has no index, so each UPDATE finds its row by a full scan. The WHERE
+  // and the SET must read the same image: a predicate checked on an older
+  // copy lets a session that saw v = 9 add one to another session's 10.
+  engine::StorageNode node("ds_overshoot");
+  auto admin = node.OpenSession();
+  ASSERT_TRUE(admin->Execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(admin->Execute("INSERT INTO t (id, v) VALUES (1, 0)").ok());
+  auto read_v = [](engine::StorageNode::Session* s) -> int64_t {
+    auto r = s->Execute("SELECT v FROM t WHERE id = 1");
+    if (!r.ok()) return -1;
+    std::vector<Row> rows = engine::DrainResultSet(r->result_set.get());
+    return rows.size() == 1 ? rows[0][0].AsInt() : -1;
+  };
+
+  constexpr int kWriters = 4;
+  constexpr int kUpdates = 200;
+  std::atomic<bool> writing{true};
+  std::atomic<int64_t> max_seen{0};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    auto session = node.OpenSession();
+    while (writing.load(std::memory_order_relaxed)) {
+      int64_t v = read_v(session.get());
+      if (v < 0) failures.fetch_add(1, std::memory_order_relaxed);
+      if (v > max_seen.load(std::memory_order_relaxed)) max_seen.store(v);
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&] {
+      auto session = node.OpenSession();
+      for (int i = 0; i < kUpdates; ++i) {
+        if (!session->Execute("UPDATE t SET v = v + 1 WHERE v < 10").ok()) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  writing.store(false);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(max_seen.load(), 10);
+  EXPECT_EQ(read_v(admin.get()), 10);
+}
+
 TEST(GovernorConcurrencyStressTest, RegistryNodesWatchesLocksSessions) {
   governor::Registry registry;
   std::atomic<int64_t> events{0};

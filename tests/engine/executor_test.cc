@@ -309,6 +309,47 @@ TEST_F(ExecutorTest, SelectWithoutFrom) {
   EXPECT_EQ(rows[0][1], Value("x"));
 }
 
+TEST_F(ExecutorTest, WhereAppliesWithoutFrom) {
+  EXPECT_EQ(Query("SELECT 1 WHERE 1 = 1").size(), 1u);
+  EXPECT_TRUE(Query("SELECT 1 WHERE 1 = 0").empty());
+}
+
+/// The fixture's t_user scores, for answers computed from the data.
+const double kScores[] = {9.5, 7.0, 9.5, 3.25};
+
+TEST_F(ExecutorTest, AggregatesNestedInExpressions) {
+  double sum = 0;
+  for (double s : kScores) sum += s;
+  auto rows = Query(
+      "SELECT SUM(score) + 1, -SUM(uid), ABS(0 - SUM(uid)), "
+      "CASE WHEN COUNT(*) > 1 THEN 'many' ELSE 'one' END, "
+      "MAX(score) - MIN(score) FROM t_user");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value(sum + 1));
+  EXPECT_EQ(rows[0][1], Value(-(1 + 2 + 3 + 4)));
+  EXPECT_EQ(rows[0][2], Value(1 + 2 + 3 + 4));
+  EXPECT_EQ(rows[0][3], Value("many"));
+  EXPECT_EQ(rows[0][4], Value(9.5 - 3.25));
+}
+
+TEST_F(ExecutorTest, HavingNestsAggregatesUnderAnyOperator) {
+  // Scores 9.5 (twice), 7.0 and 3.25: one group of two, two groups of one.
+  auto singles = [](const std::vector<Row>& rows) {
+    return rows.size() == 2 && rows[0][0] == Value(3.25) &&
+           rows[1][0] == Value(7.0);
+  };
+  EXPECT_TRUE(singles(Query("SELECT score FROM t_user GROUP BY score "
+                            "HAVING NOT (COUNT(*) > 1) ORDER BY score")));
+  EXPECT_TRUE(singles(Query("SELECT score FROM t_user GROUP BY score "
+                            "HAVING COUNT(*) IN (1) ORDER BY score")));
+  auto pair = Query(
+      "SELECT score, SUM(uid) * 10 FROM t_user GROUP BY score "
+      "HAVING COUNT(*) BETWEEN 2 AND 3");
+  ASSERT_EQ(pair.size(), 1u);
+  EXPECT_EQ(pair[0][0], Value(9.5));
+  EXPECT_EQ(pair[0][1], Value((1 + 3) * 10));
+}
+
 TEST_F(ExecutorTest, OrderByAliasOfComputedItem) {
   auto rows = Query("SELECT uid, score * 2 AS dbl FROM t_user ORDER BY dbl DESC LIMIT 1");
   ASSERT_EQ(rows.size(), 1u);

@@ -49,10 +49,17 @@ TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
   std::atomic<int64_t> bad_snapshots{0};
   std::atomic<int64_t> reader_failures{0};
   std::atomic<int64_t> scans{0};
+  // Writers start once every reader has tried one scan: on an idle host the
+  // writers otherwise finish before any reader is scheduled, and no scan
+  // overlaps a commit.
+  std::atomic<int> readers_started{0};
   std::vector<std::thread> threads;
 
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&node, &writers_done, w] {
+    threads.emplace_back([&node, &writers_done, &readers_started, w] {
+      while (readers_started.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       // Each writer transfers within its own account partition: there is no
       // write-write conflict detection, so two transactions computing
       // `bal - ?` from the same committed image would lose one delta and
@@ -87,8 +94,13 @@ TEST(MvccStressTest, SnapshotScansSeeConsistentTotals) {
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&] {
       auto session = node.OpenSession();
+      bool started = false;
       while (writers_done.load(std::memory_order_acquire) < kWriters) {
         auto res = session->Execute("SELECT COUNT(*), SUM(bal) FROM acct");
+        if (!started) {
+          started = true;
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
         if (!res.ok()) {
           reader_failures.fetch_add(1, std::memory_order_relaxed);
           continue;

@@ -1,13 +1,14 @@
-// Single-node SELECT paths (DESIGN.md §9): the bounded top-k helper, then
-// golden replays of the streaming fast path, then row counts around the
-// pipeline batch size.
+// The node's SELECT pipeline (DESIGN.md §9): the bounded top-k helper, then
+// golden replays, then row counts around the pipeline batch size.
 //
 // Every query in the golden suites is compared with
-// tests/engine/streaming_select_golden.txt byte for byte. The records were
-// taken while a process-wide switch could still force each query onto the
-// materializing executor: the streaming and materializing runs agreed, at
-// batch sizes 1, 3, 256 and 100000 and under both concurrency-control
-// modes. The one path that is left must reproduce them.
+// tests/engine/streaming_select_golden.txt byte for byte. The first 144
+// records were taken while a process-wide switch could still force each
+// query onto the materializing executor: the streaming and materializing
+// runs agreed, at batch sizes 1, 3, 256 and 100000 and under both
+// concurrency-control modes. The rest (sorted, grouped, NULL-bearing and
+// joined shapes) were recorded from the tree that still had both executors,
+// before they became one pipeline. The pipeline must reproduce them all.
 
 #include <gtest/gtest.h>
 
@@ -114,7 +115,7 @@ class GoldenNodeTest : public ::testing::Test {
   std::unique_ptr<StorageNode::Session> session_;
 };
 
-/// Populated single node for the streaming fast path.
+/// Populated single node for the SELECT pipeline.
 class StreamingSelectTest : public GoldenNodeTest {
  protected:
   void SetUp() override {
@@ -185,19 +186,95 @@ TEST_F(StreamingSelectTest, DistinctVariants) {
   ExpectMatchesGolden("SELECT DISTINCT category FROM t_item LIMIT 3");
   ExpectMatchesGolden(
       "SELECT DISTINCT category, qty FROM t_item LIMIT 3 OFFSET 1");
-  // DISTINCT + non-pk ORDER BY + LIMIT falls back (dedup happens after the
-  // sort on the materializing path).
+  // DISTINCT + non-pk ORDER BY + LIMIT: the dedup runs after a full sort,
+  // not inside a top-k that duplicates could fill.
   ExpectMatchesGolden(
       "SELECT DISTINCT category FROM t_item ORDER BY category LIMIT 2");
   ExpectMatchesGolden("SELECT DISTINCT price FROM t_item ORDER BY price DESC");
 }
 
 TEST_F(StreamingSelectTest, FallbackPathsStillMatch) {
-  // No LIMIT count → nothing to bound; aggregates and joins → materializing.
+  // No LIMIT count → a full stable sort; GROUP BY and global aggregates.
   ExpectMatchesGolden("SELECT id FROM t_item ORDER BY price");
   ExpectMatchesGolden(
       "SELECT category, COUNT(*) FROM t_item GROUP BY category");
   ExpectMatchesGolden("SELECT MAX(price) FROM t_item");
+}
+
+/// Sorted, deduplicated and aliased shapes that once took the materializing
+/// executor: full stable sorts on tied non-pk keys, DISTINCT after the sort
+/// (also on keys that are not selected), and keys that only resolve against
+/// the output labels or the select-expression text.
+const char* const kSortedShapes[] = {
+    "SELECT id, category FROM t_item ORDER BY category",
+    "SELECT id, category FROM t_item ORDER BY category DESC",
+    "SELECT id, price, qty FROM t_item ORDER BY price DESC, qty",
+    "SELECT id FROM t_item WHERE qty > 40 ORDER BY category, price DESC",
+    "SELECT category, price FROM t_item ORDER BY price, category DESC OFFSET 50",
+    "SELECT t_item.id FROM t_item ORDER BY t_item.price, t_item.id DESC LIMIT 5",
+    "SELECT DISTINCT category FROM t_item ORDER BY category",
+    "SELECT DISTINCT category, price FROM t_item ORDER BY price DESC, category "
+    "LIMIT 5",
+    "SELECT DISTINCT category FROM t_item ORDER BY qty",
+    "SELECT DISTINCT category FROM t_item ORDER BY qty DESC LIMIT 2",
+    "SELECT DISTINCT price FROM t_item ORDER BY id LIMIT 4 OFFSET 1",
+    "SELECT DISTINCT price FROM t_item WHERE category = 'c1' ORDER BY price",
+    "SELECT id, price * 2 AS dbl FROM t_item ORDER BY dbl DESC",
+    "SELECT id, price * 2 AS dbl FROM t_item ORDER BY dbl, id LIMIT 6",
+    "SELECT id, qty + 1 FROM t_item ORDER BY qty + 1 LIMIT 5",
+    "SELECT id, qty + 1 FROM t_item ORDER BY qty + 1 DESC, id",
+    "SELECT DISTINCT price * 2 AS dbl FROM t_item ORDER BY dbl DESC LIMIT 3",
+    "SELECT category AS cat, id FROM t_item ORDER BY cat, id DESC LIMIT 7",
+    "SELECT id, price * 2 AS dbl FROM t_item ORDER BY dbl, qty",
+    "SELECT id FROM t_item ORDER BY nope",
+    "SELECT id FROM t_item ORDER BY LENGTH(nope) LIMIT 3",
+};
+
+/// Grouped and aggregated shapes: group-key order without ORDER BY, HAVING,
+/// label-resolved ORDER BY, LIMIT/OFFSET over groups, aggregates under
+/// DISTINCT/ORDER BY/LIMIT, and the errors of the aggregated path.
+const char* const kGroupedShapes[] = {
+    "SELECT category, COUNT(*), SUM(qty) FROM t_item GROUP BY category",
+    "SELECT category, COUNT(*) FROM t_item GROUP BY category "
+    "ORDER BY COUNT(*) DESC",
+    "SELECT category, AVG(price) AS ap FROM t_item GROUP BY category "
+    "ORDER BY ap LIMIT 2",
+    "SELECT category, MAX(qty) FROM t_item GROUP BY category "
+    "HAVING MAX(qty) > 90",
+    "SELECT category, COUNT(*) FROM t_item WHERE qty > 20 GROUP BY category "
+    "HAVING COUNT(*) >= 3 ORDER BY category DESC LIMIT 2 OFFSET 1",
+    "SELECT price, COUNT(*) FROM t_item GROUP BY price LIMIT 3",
+    "SELECT price, category, COUNT(*) FROM t_item GROUP BY price, category "
+    "LIMIT 5 OFFSET 2",
+    "SELECT category, id FROM t_item GROUP BY category",
+    "SELECT qty % 3, SUM(price) FROM t_item GROUP BY qty % 3",
+    "SELECT category, SUM(qty) * 2 FROM t_item GROUP BY category",
+    "SELECT category FROM t_item GROUP BY category HAVING SUM(qty) > 500",
+    "SELECT DISTINCT COUNT(*) FROM t_item GROUP BY category",
+    "SELECT COUNT(*) FROM t_item GROUP BY category ORDER BY COUNT(*)",
+    "SELECT category, COUNT(*) FROM t_item WHERE id > 1000 GROUP BY category",
+    "SELECT COUNT(*), MAX(price) FROM t_item WHERE id > 1000 "
+    "ORDER BY COUNT(*) LIMIT 1",
+    "SELECT category, COUNT(*) FROM t_item GROUP BY category ORDER BY price",
+    "SELECT * FROM t_item GROUP BY category",
+    "SELECT category, COUNT(nope) FROM t_item GROUP BY category",
+};
+
+TEST_F(StreamingSelectTest, SortedShapes) {
+  for (const char* q : kSortedShapes) ExpectMatchesGolden(q);
+}
+
+TEST_F(StreamingSelectTest, GroupedShapes) {
+  for (const char* q : kGroupedShapes) ExpectMatchesGolden(q);
+}
+
+TEST_F(StreamingSelectTest, SortedAndGroupedShapesAgreeUnderBothModes) {
+  for (ConcurrencyControl mode :
+       {ConcurrencyControl::kLatch, ConcurrencyControl::kMvcc}) {
+    node_->set_concurrency_control(mode);
+    for (const char* q : kSortedShapes) ExpectMatchesGolden(q);
+    for (const char* q : kGroupedShapes) ExpectMatchesGolden(q);
+  }
 }
 
 TEST_F(StreamingSelectTest, RandomizedDifferential) {
@@ -229,6 +306,38 @@ TEST_F(StreamingSelectTest, RandomizedDifferential) {
     }
     ExpectMatchesGolden(sql);
   }
+  // Suffixes of the grouped, unbounded-sort and sorted-DISTINCT shapes, drawn
+  // after the rounds above so their queries stay as recorded.
+  const std::vector<std::string> suffixes = {
+      " GROUP BY category",
+      " GROUP BY category HAVING COUNT(*) > 2",
+      " GROUP BY qty % 4 HAVING SUM(price) > 20 ORDER BY id",
+      " ORDER BY price",
+      " ORDER BY category DESC, qty",
+      " ORDER BY qty OFFSET 4",
+      " ORDER BY price DESC LIMIT 3, 4"};
+  const std::vector<std::string> grouped_items = {
+      "category, COUNT(*)", "qty % 4, SUM(price), MIN(id)", "category, id",
+      "COUNT(*), MAX(qty)"};
+  for (int round = 0; round < 60; ++round) {
+    const std::string& suffix = suffixes[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(suffixes.size()) - 1))];
+    bool grouped = suffix.rfind(" GROUP BY", 0) == 0;
+    std::string sql = "SELECT ";
+    if (rng.Uniform(0, 2) == 0) sql += "DISTINCT ";
+    if (grouped) {
+      sql += grouped_items[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(grouped_items.size()) - 1))];
+    } else {
+      sql += projections[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(projections.size()) - 1))];
+    }
+    sql += " FROM t_item";
+    sql += wheres[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(wheres.size()) - 1))];
+    sql += suffix;
+    ExpectMatchesGolden(sql);
+  }
 }
 
 TEST_F(StreamingSelectTest, MemoryDisciplineKnobsAreBehaviorNeutral) {
@@ -258,7 +367,7 @@ TEST_F(StreamingSelectTest, MemoryDisciplineKnobsAreBehaviorNeutral) {
 }
 
 TEST_F(StreamingSelectTest, StreamingSurvivesConcurrentSchema) {
-  // The fast path must not hold the table latch beyond one statement: a
+  // The pipeline must not hold the table latch beyond one statement: a
   // write between two streamed statements is immediately visible.
   auto r1 = session_->Execute("SELECT id FROM t_item LIMIT 3", {});
   ASSERT_TRUE(r1.ok());
@@ -271,7 +380,7 @@ TEST_F(StreamingSelectTest, StreamingSurvivesConcurrentSchema) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming global-aggregate fast path
+// Aggregates
 // ---------------------------------------------------------------------------
 
 class AggregateFastPathTest : public GoldenNodeTest {
@@ -301,8 +410,8 @@ TEST_F(AggregateFastPathTest, MatchesMaterializingBaseline) {
 }
 
 TEST_F(AggregateFastPathTest, ShapesThatMustFallBackStillAgree) {
-  // Not eligible for the global-aggregate fast path (GROUP BY, HAVING,
-  // DISTINCT, ORDER BY, mixed plain columns).
+  // GROUP BY, HAVING, COUNT(DISTINCT) and a plain-column sort, recorded
+  // while they ran on the materializing executor.
   const char* queries[] = {
       "SELECT k, COUNT(*) FROM m GROUP BY k ORDER BY k",
       "SELECT k, SUM(d) FROM m GROUP BY k HAVING COUNT(*) > 3 ORDER BY k",
@@ -318,6 +427,114 @@ TEST_F(AggregateFastPathTest, AgreesUnderBothConcurrencyModes) {
     node_->set_concurrency_control(mode);
     ExpectMatchesGolden(
         "SELECT COUNT(*), SUM(k), AVG(d) FROM m WHERE id <= 25");
+  }
+}
+
+TEST_F(AggregateFastPathTest, AggregatesUnderDistinctOrderAndLimit) {
+  const char* queries[] = {
+      "SELECT DISTINCT COUNT(*) FROM m",
+      "SELECT SUM(k) FROM m ORDER BY SUM(k)",
+      "SELECT COUNT(*), SUM(d) FROM m LIMIT 1",
+      "SELECT MAX(k) FROM m LIMIT 0",
+      "SELECT AVG(k) FROM m LIMIT 1 OFFSET 1",
+      "SELECT COUNT(DISTINCT k), AVG(DISTINCT k), SUM(DISTINCT d) FROM m "
+      "WHERE id > 5",
+      "SELECT k, COUNT(DISTINCT d) FROM m GROUP BY k",
+      "SELECT MIN(id), MAX(id), k FROM m",
+      "SELECT SUM(k), k FROM m WHERE k = 99",
+      "SELECT k, SUM(d) / COUNT(*) FROM m GROUP BY k ORDER BY k DESC",
+  };
+  for (const char* q : queries) ExpectMatchesGolden(q);
+}
+
+// ---------------------------------------------------------------------------
+// Aggregates over NULLs and strings
+// ---------------------------------------------------------------------------
+
+class NullAggregateTest : public GoldenNodeTest {
+ protected:
+  void SetUp() override {
+    node_ = std::make_unique<StorageNode>("ds_null");
+    session_ = node_->OpenSession();
+    Exec("CREATE TABLE n (id BIGINT PRIMARY KEY, s VARCHAR(16), v INT)");
+    const char* rows[] = {
+        "(1, 'pear', 4)",  "(2, NULL, 7)",     "(3, 'apple', NULL)",
+        "(4, 'fig', 4)",   "(5, 'pear', NULL)", "(6, NULL, NULL)",
+        "(7, 'apple', 2)", "(8, 'kiwi', 9)",    "(9, 'fig', 4)",
+        "(10, NULL, 1)"};
+    for (const char* r : rows) Exec(std::string("INSERT INTO n VALUES ") + r);
+  }
+};
+
+TEST_F(NullAggregateTest, MatchesRecordedAnswers) {
+  const char* queries[] = {
+      "SELECT COUNT(*), COUNT(s), COUNT(v), MIN(s), MAX(s), MIN(v), MAX(v), "
+      "SUM(v), AVG(v) FROM n",
+      "SELECT s, COUNT(*), SUM(v) FROM n GROUP BY s",
+      "SELECT s, MIN(v), MAX(v) FROM n GROUP BY s ORDER BY s DESC",
+      "SELECT v, MIN(s), MAX(s), COUNT(s) FROM n GROUP BY v",
+      "SELECT v FROM n ORDER BY v",
+      "SELECT id, v FROM n ORDER BY v DESC, id DESC LIMIT 4",
+      "SELECT DISTINCT s FROM n ORDER BY s",
+      "SELECT DISTINCT v FROM n",
+      "SELECT COUNT(DISTINCT s), COUNT(DISTINCT v) FROM n",
+      "SELECT MIN(s), MAX(s) FROM n WHERE v IS NULL",
+      "SELECT AVG(v), SUM(v), MIN(v) FROM n WHERE s IS NULL",
+      "SELECT MIN(v), MAX(s) FROM n WHERE id > 100",
+  };
+  for (ConcurrencyControl mode :
+       {ConcurrencyControl::kLatch, ConcurrencyControl::kMvcc}) {
+    node_->set_concurrency_control(mode);
+    for (const char* q : queries) ExpectMatchesGolden(q);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Join sources and SELECT without FROM
+// ---------------------------------------------------------------------------
+
+class JoinSelectTest : public GoldenNodeTest {
+ protected:
+  void SetUp() override {
+    node_ = std::make_unique<StorageNode>("ds_join");
+    session_ = node_->OpenSession();
+    Exec("CREATE TABLE u (uid BIGINT PRIMARY KEY, name VARCHAR(16), tier INT)");
+    Exec("CREATE TABLE o (oid BIGINT PRIMARY KEY, uid BIGINT, amount DOUBLE)");
+    Exec("INSERT INTO u VALUES (1, 'ann', 2), (2, 'bob', 1), (3, 'cid', 2), "
+         "(4, 'dee', 3)");
+    Exec("INSERT INTO o VALUES (10, 1, 10.0), (11, 1, 25.0), (12, 2, 5.0), "
+         "(13, 9, 1.0), (14, 3, 25.0), (15, 1, 7.5)");
+  }
+};
+
+TEST_F(JoinSelectTest, MatchesRecordedAnswers) {
+  const char* queries[] = {
+      "SELECT u.name, o.amount FROM u JOIN o ON u.uid = o.uid",
+      "SELECT o.oid, u.name FROM o LEFT JOIN u ON o.uid = u.uid",
+      "SELECT u.name, o.oid FROM u, o WHERE u.uid = o.uid AND o.amount > 5",
+      "SELECT u.uid, o.oid FROM u JOIN o ON o.amount > u.uid * 10",
+      "SELECT u.uid, o.oid FROM u LEFT JOIN o ON o.amount > u.uid * 10 "
+      "ORDER BY u.uid DESC",
+      "SELECT u.name, COUNT(*), SUM(o.amount) FROM u JOIN o ON u.uid = o.uid "
+      "GROUP BY u.name",
+      "SELECT u.tier, MAX(o.amount) FROM u LEFT JOIN o ON u.uid = o.uid "
+      "GROUP BY u.tier HAVING COUNT(o.oid) > 0 ORDER BY u.tier DESC",
+      "SELECT u.name, o.amount FROM u JOIN o ON u.uid = o.uid "
+      "ORDER BY o.amount DESC LIMIT 3",
+      "SELECT DISTINCT u.name FROM u JOIN o ON u.uid = o.uid ORDER BY u.name",
+      "SELECT * FROM u, o WHERE u.uid = 2",
+      "SELECT o.* FROM u JOIN o ON u.uid = o.uid WHERE u.uid = 1",
+      "SELECT u.name, o.oid FROM u, o WHERE o.oid = 12 LIMIT 2 OFFSET 1",
+      "SELECT u.name FROM u RIGHT JOIN o ON u.uid = o.uid",
+      "SELECT 1 + 2, 'x'",
+      "SELECT COUNT(*)",
+      "SELECT nope FROM u",
+      "SELECT uid FROM missing_table",
+  };
+  for (ConcurrencyControl mode :
+       {ConcurrencyControl::kLatch, ConcurrencyControl::kMvcc}) {
+    node_->set_concurrency_control(mode);
+    for (const char* q : queries) ExpectMatchesGolden(q);
   }
 }
 
