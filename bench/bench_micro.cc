@@ -638,20 +638,23 @@ BENCHMARK(BM_PlanCloneVsArenaCopy)->Arg(0)->Arg(1);
 }  // namespace
 }  // namespace sphere
 
-// BENCHMARK_MAIN with a default JSON reporter: results land in
+// BENCHMARK_MAIN with a default JSON reporter: a full run writes
 // BENCH_micro.json (ops/sec via items_per_second) for machines to diff,
-// unless the invoker passes an explicit --benchmark_out.
+// unless the invoker passes an explicit --benchmark_out. A filtered run
+// writes no file by default, so it cannot replace the whole-suite baseline
+// with a partial one.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   std::string out_flag = "--benchmark_out=BENCH_micro.json";
   std::string format_flag = "--benchmark_out_format=json";
   bool has_out = false;
+  bool filtered = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]).rfind("--benchmark_out=", 0) == 0) {
-      has_out = true;
-    }
+    std::string_view arg(argv[i]);
+    if (arg.rfind("--benchmark_out=", 0) == 0) has_out = true;
+    if (arg.rfind("--benchmark_filter", 0) == 0) filtered = true;
   }
-  if (!has_out) {
+  if (!has_out && !filtered) {
     args.push_back(out_flag.data());
     args.push_back(format_flag.data());
   }

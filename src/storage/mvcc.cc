@@ -171,7 +171,17 @@ void EpochManager::Unpin(int slot, uint64_t pinned) {
 }
 
 uint64_t EpochManager::OldestLiveSnapshot() const {
-  return std::min(visible_.load(std::memory_order_seq_cst), OldestPinOrMax());
+  // The visible epoch must be read *before* the pin slots, in its own
+  // statement (the order in which function arguments are evaluated is
+  // unspecified). Scanning first is unsafe: a reader can CAS its slot just
+  // after the scan passed it and reread epoch E, a commit can then publish
+  // E+1, and the late load returns E+1 as the floor, above the reader's
+  // snapshot; GC would free the version E resolves to. With the load first,
+  // a slot the scan misses was claimed after that load (seq_cst total
+  // order), so the reader's reread sees at least the loaded epoch and the
+  // floor stays at or below its snapshot.
+  const uint64_t visible = visible_.load(std::memory_order_seq_cst);
+  return std::min(visible, OldestPinOrMax());
 }
 
 uint64_t EpochManager::OldestPinOrMax() const {

@@ -63,9 +63,10 @@ struct RowVersion {
 };
 
 /// Process-wide recycler for version nodes: a popped node keeps its Row's
-/// value/string capacity, so the write path's steady state installs versions
-/// without touching malloc (the MVCC analogue of the PR 7 row pools). Leaf
-/// rank: any layer may release into it while holding its own locks.
+/// element capacity, and the write path casts each new row straight into
+/// the acquired node's `data`, so a steady-state install allocates no node
+/// and no row vector (the MVCC analogue of the §12 row pools). Leaf rank:
+/// any layer may release into it while holding its own locks.
 class VersionPool {
  public:
   static VersionPool& Instance();

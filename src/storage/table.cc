@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -15,6 +16,17 @@ metrics::Counter& GcPrunedCounter() {
   static metrics::Counter* c =
       metrics::Registry::Instance().GetCounter("storage.mvcc.gc_pruned");
   return *c;
+}
+
+/// Returns a pool node that never got linked into a chain (the write failed
+/// validation or a key check).
+struct ReleaseToPool {
+  void operator()(RowVersion* v) const { VersionPool::Instance().Release(v); }
+};
+using UnlinkedVersion = std::unique_ptr<RowVersion, ReleaseToPool>;
+
+UnlinkedVersion AcquireVersion() {
+  return UnlinkedVersion(VersionPool::Instance().Acquire());
 }
 
 }  // namespace
@@ -61,38 +73,41 @@ Status Table::ValidateAndCast(const Row& row, Row* out) const {
   return Status::OK();
 }
 
-void Table::InstallVersion(const Value& pk, Row data, bool deleted,
+void Table::InstallVersion(const Value& pk, RowVersion* v, bool deleted,
                            int64_t writer) {
-  RowVersion* v = VersionPool::Instance().Acquire();
   v->deleted = deleted;
-  v->data = std::move(data);
   uint64_t stamp = writer > 0 ? kPendingBase + static_cast<uint64_t>(writer)
                               : SelfCommitStamp();
   v->stamp.store(stamp, std::memory_order_release);
+  // One GC floor per install bounds both prunes below. Pruning here, on the
+  // path that already holds the writer latch, keeps chains at what a pinned
+  // snapshot can resolve without a background thread.
+  const uint64_t oldest =
+      epochs_ != nullptr ? epochs_->OldestLiveSnapshot() : kEpochLatest;
+  size_t freed = 0;
   VersionedRow* vr = rows_.Find(pk);
   if (vr == nullptr) {
     VersionedRow fresh;
     fresh.head = v;
     rows_.Insert(pk, std::move(fresh));
-    return;
+  } else {
+    v->older = vr->head;
+    vr->head = v;
+    if (v->older != nullptr) freed += PruneChain(vr, oldest);
   }
-  v->older = vr->head;
-  vr->head = v;
-  // Amortized inline GC: every few installs, prune this chain down to what
-  // the oldest pinned snapshot can still reach, so hot rows don't grow long
-  // version tails between explicit GcVersions passes.
-  if (v->older != nullptr && (++prune_tick_ & 0x7) == 0) {
-    uint64_t oldest =
-        epochs_ != nullptr ? epochs_->OldestLiveSnapshot() : kEpochLatest;
-    size_t n = PruneChain(vr, oldest);
-    if (n > 0) GcPrunedCounter().Add(static_cast<int64_t>(n));
-  }
+  // The clock hand frees what a row keeps until its next write (the
+  // committed predecessor of its last install) and erases dead tombstones,
+  // so rows that go cold lose their tails within one turn. `vr` is not used
+  // past this point: the sweep may erase keys and shift the leaf it lives in.
+  hand_ = SweepChains(hand_, kHandSteps, &pk, oldest, &freed);
+  if (!graveyard_.empty()) freed += DrainGraveyard();
+  if (freed > 0) GcPrunedCounter().Add(static_cast<int64_t>(freed));
 }
 
 size_t Table::PruneChain(VersionedRow* vr, uint64_t oldest) {
   // Keeper: the newest committed version at or below `oldest` — the version
-  // the most lagging pinned snapshot resolves to. Everything older than it
-  // is unreachable by any live or future snapshot.
+  // the most lagging pinned snapshot resolves to. Every committed version
+  // older than it is unreachable by any live or future snapshot.
   RowVersion* keeper = nullptr;
   for (RowVersion* v = vr->head; v != nullptr; v = v->older) {
     uint64_t s = v->stamp.load(std::memory_order_relaxed);
@@ -101,16 +116,25 @@ size_t Table::PruneChain(VersionedRow* vr, uint64_t oldest) {
       break;
     }
   }
+  if (keeper == nullptr) return 0;
+  // A pending version below the keeper belongs to a writer that installed
+  // before another writer's commit; it stays linked so its own CommitWrite
+  // or AbortWrite still finds it.
   size_t freed = 0;
-  if (keeper != nullptr && keeper->older != nullptr) {
-    for (RowVersion* v = keeper->older; v != nullptr; v = v->older) ++freed;
-    VersionPool::Instance().ReleaseChain(keeper->older);
-    keeper->older = nullptr;
+  RowVersion** link = &keeper->older;
+  while (*link != nullptr) {
+    RowVersion* v = *link;
+    if (v->stamp.load(std::memory_order_relaxed) >= kPendingBase) {
+      link = &v->older;
+      continue;
+    }
+    *link = v->older;
+    VersionPool::Instance().Release(v);
+    ++freed;
   }
   // A chain that reduced to a single dead committed tombstone is fully
   // garbage: no snapshot can resolve a row from it anymore.
-  if (keeper != nullptr && keeper == vr->head && keeper->deleted &&
-      keeper->older == nullptr) {
+  if (keeper == vr->head && keeper->deleted && keeper->older == nullptr) {
     VersionPool::Instance().Release(keeper);
     vr->head = nullptr;
     ++freed;
@@ -118,9 +142,58 @@ size_t Table::PruneChain(VersionedRow* vr, uint64_t oldest) {
   return freed;
 }
 
+Value Table::SweepChains(const Value& from, size_t steps, const Value* skip,
+                         uint64_t oldest, size_t* freed) {
+  using Iterator = BPlusTree<VersionedRow>::Iterator;
+  Iterator it = from.is_null() ? rows_.Begin() : rows_.LowerBoundIter(from);
+  for (size_t i = 0; i < steps; ++i) {
+    if (!it.Valid()) {
+      it = rows_.Begin();
+      if (!it.Valid()) break;  // empty table
+    }
+    if (skip != nullptr && it.key() == *skip) {
+      it.Next();  // pruned by the install that runs this sweep
+      continue;
+    }
+    VersionedRow& vr = it.payload();
+    *freed += PruneChain(&vr, oldest);
+    if (vr.head != nullptr) {
+      it.Next();
+      continue;
+    }
+    // Erasing shifts the leaf under the iterator: take the next key first,
+    // then re-seek to it.
+    Value dead = it.key();
+    it.Next();
+    Value next = it.Valid() ? it.key() : Value();
+    rows_.Erase(dead);
+    it = next.is_null() ? Iterator() : rows_.LowerBoundIter(next);
+  }
+  return it.Valid() ? it.key() : Value();
+}
+
+size_t Table::DrainGraveyard() {
+  uint64_t pin_floor = epochs_ != nullptr
+                           ? epochs_->OldestPinOrMax()
+                           : std::numeric_limits<uint64_t>::max();
+  size_t freed = 0;
+  auto dead = std::remove_if(
+      graveyard_.begin(), graveyard_.end(), [&](const RetiredChain& rc) {
+        if (rc.epoch >= pin_floor) return false;
+        for (const RowVersion* v = rc.row.head; v != nullptr; v = v->older) {
+          ++freed;
+        }
+        return true;
+      });
+  graveyard_.erase(dead, graveyard_.end());  // frees the chains
+  return freed;
+}
+
 Status Table::Insert(const Row& row, Value* out_pk, int64_t writer) {
-  Row casted;
-  SPHERE_RETURN_NOT_OK(ValidateAndCast(row, &casted));
+  // Cast straight into a pooled node so its kept row capacity is reused.
+  UnlinkedVersion v = AcquireVersion();
+  SPHERE_RETURN_NOT_OK(ValidateAndCast(row, &v->data));
+  const Row& casted = v->data;
   Value pk;
   if (pk_index_ >= 0) {
     pk = casted[static_cast<size_t>(pk_index_)];
@@ -146,7 +219,7 @@ Status Table::Insert(const Row& row, Value* out_pk, int64_t writer) {
   for (auto& idx : indexes_) {
     idx->Add(casted[static_cast<size_t>(idx->column_index())], pk);
   }
-  InstallVersion(pk, std::move(casted), /*deleted=*/false, writer);
+  InstallVersion(pk, v.release(), /*deleted=*/false, writer);
   live_rows_.fetch_add(1, std::memory_order_relaxed);
   if (out_pk != nullptr) *out_pk = pk;
   return Status::OK();
@@ -159,8 +232,9 @@ Status Table::Update(const Value& pk, const Row& new_row, int64_t writer) {
   if (old_v == nullptr) {
     return Status::NotFound("no row with key " + pk.ToString());
   }
-  Row casted;
-  SPHERE_RETURN_NOT_OK(ValidateAndCast(new_row, &casted));
+  UnlinkedVersion v = AcquireVersion();
+  SPHERE_RETURN_NOT_OK(ValidateAndCast(new_row, &v->data));
+  const Row& casted = v->data;
   if (pk_index_ >= 0 && casted[static_cast<size_t>(pk_index_)] != pk) {
     return Status::InvalidArgument("primary key update is not supported");
   }
@@ -171,7 +245,7 @@ Status Table::Update(const Value& pk, const Row& new_row, int64_t writer) {
       idx->Add(casted[ci], pk);
     }
   }
-  InstallVersion(pk, std::move(casted), /*deleted=*/false, writer);
+  InstallVersion(pk, v.release(), /*deleted=*/false, writer);
   return Status::OK();
 }
 
@@ -186,7 +260,8 @@ Status Table::Delete(const Value& pk, Row* old_row, int64_t writer) {
   for (auto& idx : indexes_) {
     idx->Remove(old_v->data[static_cast<size_t>(idx->column_index())], pk);
   }
-  InstallVersion(pk, Row{}, /*deleted=*/true, writer);
+  InstallVersion(pk, VersionPool::Instance().Acquire(), /*deleted=*/true,
+                 writer);
   live_rows_.fetch_sub(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -306,6 +381,7 @@ void Table::Truncate() {
   }
   indexes_ = std::move(rebuilt);
   next_rowid_ = 1;
+  hand_ = Value();
   live_rows_.store(0, std::memory_order_relaxed);
 }
 
@@ -314,28 +390,8 @@ size_t Table::GcVersions() {
   uint64_t oldest =
       epochs_ != nullptr ? epochs_->OldestLiveSnapshot() : kEpochLatest;
   size_t pruned = 0;
-  std::vector<Value> dead_keys;
-  for (auto it = rows_.Begin(); it.Valid(); it.Next()) {
-    VersionedRow& vr = it.payload();
-    pruned += PruneChain(&vr, oldest);
-    if (vr.head == nullptr) dead_keys.push_back(it.key());
-  }
-  for (const Value& k : dead_keys) rows_.Erase(k);
-  uint64_t pin_floor = epochs_ != nullptr
-                           ? epochs_->OldestPinOrMax()
-                           : std::numeric_limits<uint64_t>::max();
-  std::vector<RetiredChain> kept;
-  for (auto& rc : graveyard_) {
-    if (rc.epoch < pin_floor) {
-      for (const RowVersion* v = rc.row.head; v != nullptr; v = v->older) {
-        ++pruned;
-      }
-      // chain released by rc's destructor at scope exit
-    } else {
-      kept.push_back(std::move(rc));
-    }
-  }
-  graveyard_ = std::move(kept);
+  SweepChains(Value(), rows_.size(), /*skip=*/nullptr, oldest, &pruned);
+  pruned += DrainGraveyard();
   if (pruned > 0) GcPrunedCounter().Add(static_cast<int64_t>(pruned));
   return pruned;
 }

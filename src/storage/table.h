@@ -123,15 +123,17 @@ class Table {
     return rows_.LowerBoundIter(key);
   }
 
-  /// Removes every row. Retired chains move to a graveyard drained by
-  /// `GcVersions` once no pinned snapshot can still read them.
+  /// Removes every row. Retired chains move to a graveyard that the next
+  /// install (or `GcVersions`) drains once no pinned snapshot can still
+  /// read them.
   void Truncate();
 
-  /// Version-chain garbage collection: prunes every version superseded
-  /// before the oldest live snapshot (keeping the newest version at or
-  /// below it), erases keys whose chain reduced to a dead tombstone, and
-  /// frees retired (truncated) chains past all pins. Takes the writer latch
-  /// itself; returns the number of versions freed (also accumulated into
+  /// One full turn of the version-chain GC that installs run a few chains
+  /// at a time: prunes every version superseded before the oldest live
+  /// snapshot (keeping the newest version at or below it), erases keys
+  /// whose chain reduced to a dead tombstone, and frees retired (truncated)
+  /// chains past all pins. Takes the writer latch itself; returns the
+  /// number of versions freed (also accumulated into
   /// `storage.mvcc.gc_pruned`).
   size_t GcVersions() SPHERE_EXCLUDES(latch_);
 
@@ -161,13 +163,30 @@ class Table {
   uint64_t SelfCommitStamp() const {
     return epochs_ != nullptr ? epochs_->visible() : 1;
   }
-  /// Pushes a version at the head of `pk`'s chain (creating the chain) and
-  /// opportunistically prunes versions no pinned snapshot can reach.
-  void InstallVersion(const Value& pk, Row data, bool deleted, int64_t writer);
-  /// Frees versions on one chain that are older than the newest committed
-  /// version at or below `oldest`; clears the chain when only a dead
-  /// tombstone remains. Returns versions freed.
+  /// Chains the clock hand prunes per install (DESIGN.md §15).
+  static constexpr size_t kHandSteps = 2;
+
+  /// Pushes `v` (acquired from the pool, data filled) at the head of `pk`'s
+  /// chain, creating the chain, then frees what no pinned snapshot can
+  /// reach: the rest of this chain, the next `kHandSteps` chains under the
+  /// clock hand, and the freeable part of the truncation graveyard.
+  void InstallVersion(const Value& pk, RowVersion* v, bool deleted,
+                      int64_t writer);
+  /// Frees the committed versions on one chain that are older than the
+  /// newest committed version at or below `oldest`; other writers' pending
+  /// versions stay linked. Clears the chain when only a dead tombstone
+  /// remains. Returns versions freed.
   size_t PruneChain(VersionedRow* vr, uint64_t oldest);
+  /// Prunes `steps` chains in key order starting at the first key >= `from`
+  /// (the first key when `from` is NULL), wrapping past the last key, and
+  /// erases keys whose chain emptied. The chain under `skip` is passed over.
+  /// Adds the versions freed to `*freed`; returns the key the next sweep
+  /// starts at (NULL: the first key).
+  Value SweepChains(const Value& from, size_t steps, const Value* skip,
+                    uint64_t oldest, size_t* freed);
+  /// Frees retired chains whose retirement predates every pin; returns the
+  /// versions freed.
+  size_t DrainGraveyard();
 
   const std::string name_;
   const Schema schema_;
@@ -186,8 +205,10 @@ class Table {
   };
   // analyze-exempt(guarded-by): guarded by latch_, caller-side discipline
   std::vector<RetiredChain> graveyard_;
+  /// Clock hand: the key the next install's sweep starts at (NULL: the
+  /// first key).
   // analyze-exempt(guarded-by): guarded by latch_, caller-side discipline
-  uint64_t prune_tick_ = 0;
+  Value hand_;
   // analyze-exempt(guarded-by): internally synchronized (atomic)
   std::atomic<int64_t> live_rows_{0};
   mutable SharedMutex latch_{LockRank::kStorage, "storage/table.latch"};

@@ -1,7 +1,8 @@
 // MVCC read/write stress (DESIGN.md §15), written for the TSan and lockdep
 // trees (check.sh re-runs `ctest -R MvccStress` in both): snapshot readers
 // scan through the executor while writers commit, roll back and churn rows,
-// and a GC thread prunes version chains mid-scan. Every reader asserts its
+// and installs (plus, in two cases, a GC thread) prune version chains
+// mid-scan. Every reader asserts its
 // scan was one consistent cut — a torn snapshot shows up as a failed
 // invariant here, and as a data race / lock-order report in the sanitizer
 // trees.
@@ -230,6 +231,129 @@ TEST(MvccStressTest, InsertDeleteChurnKeepsCountStable) {
   EXPECT_EQ(table->row_count(), static_cast<size_t>(kBaseRows));
   table->GcVersions();
   EXPECT_EQ(table->version_count(), static_cast<size_t>(kBaseRows));
+}
+
+// No GC thread: every install prunes its own chain and moves the clock hand,
+// which erases keys between a self-latched scan's batches. Accounts sit on
+// even ids and churn rows (inserted and deleted in one transaction, so net
+// zero) on odd ids between them, so the hand erases dead tombstones inside
+// the scanned range. Readers hold a transaction's snapshot across two scans
+// (repeatable read) while writers keep committing; scans span several
+// 256-row batches.
+TEST(MvccStressTest, PinnedScansSurviveInstallPruning) {
+  constexpr int kAccounts = 600;
+  constexpr int64_t kInitialBalance = 10;
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr int kWriterTxns = 300;
+
+  engine::StorageNode node("ds_mvcc_prune");
+  {
+    auto admin = node.OpenSession();
+    ASSERT_TRUE(
+        admin->Execute("CREATE TABLE acct (id INT PRIMARY KEY, bal INT)")
+            .ok());
+    for (int i = 0; i < kAccounts; ++i) {
+      ASSERT_TRUE(admin
+                      ->Execute("INSERT INTO acct VALUES (?, ?)",
+                                {Value(2 * i), Value(kInitialBalance)})
+                      .ok());
+    }
+  }
+
+  std::atomic<int> writers_done{0};
+  std::atomic<int> readers_started{0};
+  std::atomic<int64_t> bad_snapshots{0};
+  std::atomic<int64_t> reader_failures{0};
+  std::atomic<int64_t> scans{0};
+  std::vector<std::thread> threads;
+
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&node, &writers_done, &readers_started, w] {
+      while (readers_started.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
+      // Disjoint account partitions per writer, as above: there is no
+      // write-write conflict detection.
+      constexpr int kSpan = kAccounts / kWriters;
+      const int base = w * kSpan;
+      auto session = node.OpenSession();
+      for (int i = 0; i < kWriterTxns; ++i) {
+        int from = 2 * (base + (i * 37) % kSpan);
+        int to = 2 * (base + (i * 37 + 1 + i % (kSpan - 1)) % kSpan);
+        int churn = 2 * (base + (i * 53) % kSpan) + 1;
+        bool ok = session->Execute("BEGIN").ok();
+        ok = session
+                 ->Execute("UPDATE acct SET bal = bal - 1 WHERE id = ?",
+                           {Value(from)})
+                 .ok() &&
+             ok;
+        ok = session
+                 ->Execute("UPDATE acct SET bal = bal + 1 WHERE id = ?",
+                           {Value(to)})
+                 .ok() &&
+             ok;
+        ok = session
+                 ->Execute("INSERT INTO acct VALUES (?, 5)", {Value(churn)})
+                 .ok() &&
+             ok;
+        ok = session->Execute("DELETE FROM acct WHERE id = ?", {Value(churn)})
+                 .ok() &&
+             ok;
+        const char* end = (!ok || i % 5 == 0) ? "ROLLBACK" : "COMMIT";
+        if (session->in_transaction()) session->Execute(end).ok();
+      }
+      writers_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      auto session = node.OpenSession();
+      bool started = false;
+      while (writers_done.load(std::memory_order_acquire) < kWriters) {
+        bool ok = session->Execute("BEGIN").ok();
+        int64_t totals[2][2] = {};
+        for (auto& total : totals) {
+          auto res = session->Execute("SELECT COUNT(*), SUM(bal) FROM acct");
+          Row row;
+          if (!res.ok() || !res->result_set->Next(&row) || row.size() != 2) {
+            ok = false;
+            break;
+          }
+          total[0] = row[0].AsInt();
+          total[1] = row[1].AsInt();
+        }
+        if (session->in_transaction()) session->Execute("COMMIT").ok();
+        if (!started) {
+          started = true;
+          readers_started.fetch_add(1, std::memory_order_release);
+        }
+        if (!ok) {
+          reader_failures.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        for (const auto& total : totals) {
+          if (total[0] != kAccounts ||
+              total[1] != kAccounts * kInitialBalance) {
+            bad_snapshots.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        scans.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad_snapshots.load(), 0);
+  EXPECT_EQ(reader_failures.load(), 0);
+  EXPECT_GT(scans.load(), 0);
+
+  storage::Table* table = node.database()->FindTable("acct");
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->row_count(), static_cast<size_t>(kAccounts));
+  table->GcVersions();
+  EXPECT_EQ(table->version_count(), static_cast<size_t>(kAccounts));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Version-chain lifecycle tests for the MVCC storage layer (DESIGN.md §15):
-// chain growth under updates, GC pruning bounded by pinned snapshots,
-// tombstone erasure, the truncation graveyard, and the atomic live-row count
-// across pending/commit/abort transitions.
+// pruning on every install and under the clock hand, both bounded by pinned
+// snapshots, tombstone erasure, the truncation graveyard, and the atomic
+// live-row count across pending/commit/abort transitions.
 
 #include "storage/mvcc.h"
 
@@ -61,6 +61,14 @@ class MvccGcTest : public ::testing::Test {
     return epoch;
   }
 
+  /// Self-committed rows `first..last` with value 0.
+  void InsertRows(int64_t first, int64_t last) {
+    WriterLock lk(table_->latch());
+    for (int64_t pk = first; pk <= last; ++pk) {
+      ASSERT_TRUE(table_->Insert({Value(pk), Value(0)}, nullptr).ok());
+    }
+  }
+
   int64_t LatestValue(int64_t pk) {
     ReaderLock lk(table_->latch());
     const Row* row = table_->Find(Value(pk));
@@ -74,12 +82,13 @@ class MvccGcTest : public ::testing::Test {
 
 TEST_F(MvccGcTest, UpdatesGrowChainAndGcPrunesSuperseded) {
   for (int64_t v = 1; v <= 5; ++v) CommitUpdate(1, v);
-  // Insert + 5 updates: six versions chained, newest first.
-  EXPECT_EQ(table_->version_count(), 6u);
+  // Insert + 5 updates: each install pruned the chain down to its committed
+  // predecessor, so the newest version and the one it superseded remain.
+  EXPECT_EQ(table_->version_count(), 2u);
 
   // No pinned snapshot: everything below the newest committed version is
   // unreachable and must go.
-  EXPECT_EQ(table_->GcVersions(), 5u);
+  EXPECT_EQ(table_->GcVersions(), 1u);
   EXPECT_EQ(table_->version_count(), 1u);
   EXPECT_EQ(LatestValue(1), 5);
 }
@@ -91,12 +100,12 @@ TEST_F(MvccGcTest, PinnedSnapshotBoundsPruneAndStaysReadable) {
 
   CommitUpdate(1, 20);
   CommitUpdate(1, 30);
-  // Chain: [30][20][10][insert(0)], snapshot pinned at the epoch of 10.
-  EXPECT_EQ(table_->version_count(), 4u);
+  // Chain: [30][20][10], snapshot pinned at the epoch of 10. The install of
+  // 20 already freed the insert image (superseded before the pin).
+  EXPECT_EQ(table_->version_count(), 3u);
 
-  // GC may free only the insert image (superseded before the pin); the
-  // pinned version and everything newer must survive.
-  EXPECT_EQ(table_->GcVersions(), 1u);
+  // The pinned version and everything newer must survive GC.
+  EXPECT_EQ(table_->GcVersions(), 0u);
   EXPECT_EQ(table_->version_count(), 3u);
   {
     ReaderLock lk(table_->latch());
@@ -116,13 +125,14 @@ TEST_F(MvccGcTest, PinnedSnapshotBoundsPruneAndStaysReadable) {
 TEST_F(MvccGcTest, DeadTombstoneChainIsErased) {
   CommitUpdate(1, 7);
   CommitDelete(1);
-  // Tombstone + two data versions still chained until GC proves no snapshot
-  // can resolve a row from them.
-  EXPECT_EQ(table_->version_count(), 3u);
+  // Tombstone + the data version it superseded (the delete's install freed
+  // the insert image) stay chained until GC proves no snapshot can resolve
+  // a row from them.
+  EXPECT_EQ(table_->version_count(), 2u);
   EXPECT_EQ(LatestValue(1), -1);
   EXPECT_EQ(table_->row_count(), 0u);
 
-  EXPECT_EQ(table_->GcVersions(), 3u);
+  EXPECT_EQ(table_->GcVersions(), 2u);
   EXPECT_EQ(table_->version_count(), 0u);
   {
     ReaderLock lk(table_->latch());
@@ -187,6 +197,23 @@ TEST_F(MvccGcTest, TruncateGraveyardFreedOnlyPastPins) {
   EXPECT_EQ(table_->version_count(), 0u);
 }
 
+TEST_F(MvccGcTest, NextInstallDrainsGraveyardOncePinsRelease) {
+  CommitUpdate(1, 5);
+  Snapshot snap(em_);
+  {
+    WriterLock lk(table_->latch());
+    table_->Truncate();
+  }
+  EXPECT_GE(table_->version_count(), 2u);
+  snap.Release();
+  // No GcVersions call: the install frees the retired chains itself.
+  {
+    WriterLock lk(table_->latch());
+    ASSERT_TRUE(table_->Insert({Value(2), Value(0)}, nullptr).ok());
+  }
+  EXPECT_EQ(table_->version_count(), 1u);
+}
+
 TEST_F(MvccGcTest, TruncateWithNoPinsFreesImmediately) {
   CommitUpdate(1, 5);
   {
@@ -195,6 +222,101 @@ TEST_F(MvccGcTest, TruncateWithNoPinsFreesImmediately) {
   }
   EXPECT_EQ(table_->version_count(), 0u);
   EXPECT_EQ(table_->row_count(), 0u);
+}
+
+TEST_F(MvccGcTest, PinnedSnapshotStopsInstallPruneAndHand) {
+  InsertRows(2, 3);
+  CommitUpdate(2, 20);
+  Snapshot snap(em_);
+  // Row 2's install prune frees its insert image (below the pin) but must
+  // keep 20, the version the pin resolves to.
+  CommitUpdate(2, 21);
+  // Installs into row 1 move the hand over rows 2 and 3 several turns; none
+  // of them may free what the pin reads.
+  for (int64_t v = 1; v <= 6; ++v) CommitUpdate(1, v);
+  // Row 1: six updates over the insert image; row 2: [21][20]; row 3: one.
+  EXPECT_EQ(table_->version_count(), 10u);
+  {
+    ReaderLock lk(table_->latch());
+    const Row* r1 = table_->FindVisible(Value(1), snap.view());
+    const Row* r2 = table_->FindVisible(Value(2), snap.view());
+    ASSERT_NE(r1, nullptr);
+    ASSERT_NE(r2, nullptr);
+    EXPECT_EQ((*r1)[1].AsInt(), 0);
+    EXPECT_EQ((*r2)[1].AsInt(), 20);
+  }
+  snap.Release();
+  EXPECT_EQ(table_->GcVersions(), 7u);
+  EXPECT_EQ(table_->version_count(), 3u);
+}
+
+TEST_F(MvccGcTest, HandFreesColdRowTailWithinOneTurn) {
+  constexpr int64_t kRows = 10;
+  InsertRows(2, kRows);
+  // Row 5 keeps its committed predecessor: the install could not free it,
+  // because it was still the newest committed version then.
+  CommitUpdate(5, 50);
+  EXPECT_EQ(table_->version_count(), static_cast<size_t>(kRows) + 1);
+  // One turn of the hand, two chains per install, while only row 1 is
+  // written.
+  for (int64_t v = 1; v <= kRows / 2; ++v) CommitUpdate(1, v);
+  // Every cold row is down to one version; the hot row keeps the committed
+  // predecessor of its last write.
+  EXPECT_EQ(table_->version_count(), static_cast<size_t>(kRows) + 1);
+  EXPECT_EQ(LatestValue(5), 50);
+  EXPECT_EQ(table_->GcVersions(), 1u);
+}
+
+TEST_F(MvccGcTest, HandErasesDeadTombstoneKey) {
+  InsertRows(2, 4);
+  CommitDelete(3);
+  EXPECT_EQ(table_->version_count(), 5u);  // 3 rows + [tombstone][image]
+  // Two installs turn the hand once over four keys.
+  CommitUpdate(1, 1);
+  CommitUpdate(1, 2);
+  // Row 1: [2][1]; rows 2 and 4: one each; key 3 is gone from the tree.
+  EXPECT_EQ(table_->version_count(), 4u);
+  ReaderLock lk(table_->latch());
+  auto it = table_->LowerBound(Value(3));
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key().AsInt(), 4);
+}
+
+TEST_F(MvccGcTest, UniformUpdatesKeepAboutOneVersionPerRow) {
+  constexpr int64_t kRows = 200;
+  InsertRows(2, kRows);
+  // A fixed pseudo-random sequence of committed single-row updates, five
+  // per row on average, with nothing pinned.
+  uint64_t x = 12345;
+  for (int i = 0; i < 5 * kRows; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    CommitUpdate(1 + static_cast<int64_t>((x >> 33) % kRows), i);
+  }
+  EXPECT_LE(table_->version_count(), static_cast<size_t>(kRows * 3 / 2));
+  EXPECT_EQ(table_->row_count(), static_cast<size_t>(kRows));
+}
+
+TEST_F(MvccGcTest, PruneKeepsAnotherWritersPendingVersion) {
+  // Writer A's pending update sits below B's and C's commits (no write-write
+  // conflict detection): [C][B][A pending][insert image].
+  int64_t a = em_->NextWriterId();
+  {
+    WriterLock lk(table_->latch());
+    ASSERT_TRUE(table_->Update(Value(1), {Value(1), Value(100)}, a).ok());
+  }
+  CommitUpdate(1, 200);
+  CommitUpdate(1, 300);
+  // Installs and GC free committed versions below the keeper only.
+  table_->GcVersions();
+  uint64_t epoch = em_->BeginCommit();
+  {
+    WriterLock lk(table_->latch());
+    table_->CommitWrite(Value(1), a, epoch);
+  }
+  em_->EndCommit(epoch);
+  // A committed last, so its version is the row.
+  EXPECT_EQ(LatestValue(1), 100);
+  EXPECT_EQ(table_->row_count(), 1u);
 }
 
 TEST_F(MvccGcTest, SnapshotAgeTracksLaggingPin) {
