@@ -122,6 +122,58 @@ void BM_MergeOrderedStreams(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeOrderedStreams)->Arg(4)->Arg(16)->Arg(64);
 
+/// The group-by merge fold over pre-built partials. Arg(0): 40 single-row
+/// SUM partials, the per-op SUM range merge of paperbench's read_only_cpu.
+/// Arg(1): 16 sources x 100 (key, COUNT, SUM) rows over 50 group keys.
+/// allocs_per_merge counts the merge and its drain only.
+void BM_MergeAggregate(benchmark::State& state) {
+  const bool grouped = state.range(0) != 0;
+  const int sources = grouped ? 16 : 40;
+  const int rows_per_source = grouped ? 100 : 1;
+  core::MergeContext ctx;
+  ctx.is_select = true;
+  if (grouped) {
+    ctx.labels = {"g", "COUNT(*)", "SUM(v)"};
+    ctx.group_by.push_back(core::MergeKey{0, "g", false});
+    ctx.aggregations.push_back(core::AggDesc{1, engine::AggKind::kCount});
+    ctx.aggregations.push_back(core::AggDesc{2, engine::AggKind::kSum});
+  } else {
+    ctx.labels = {"SUM(k)"};
+    ctx.aggregations.push_back(core::AggDesc{0, engine::AggKind::kSum});
+  }
+  ctx.visible_columns = ctx.labels.size();
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ArenaVector<engine::ExecResult> partials;
+    for (int s = 0; s < sources; ++s) {
+      std::vector<Row> rows;
+      for (int i = 0; i < rows_per_source; ++i) {
+        if (grouped) {
+          rows.push_back({Value((s * 7 + i) % 50), Value(3), Value(s + i)});
+        } else {
+          rows.push_back({Value(int64_t{1000} * s)});
+        }
+      }
+      partials.push_back(engine::ExecResult::Query(
+          std::make_unique<engine::VectorResultSet>(ctx.labels,
+                                                    std::move(rows))));
+    }
+    const uint64_t before = bench::AllocationCount();
+    state.ResumeTiming();
+    core::MergeEngine merger;
+    auto merged = merger.Merge(std::move(partials), ctx);
+    Row row;
+    while (merged.value().result_set->Next(&row)) {
+      benchmark::DoNotOptimize(row);
+    }
+    allocs += bench::AllocationCount() - before;
+  }
+  state.counters["allocs_per_merge"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_MergeAggregate)->Arg(0)->Arg(1);
+
 void BM_BTreeInsert(benchmark::State& state) {
   storage::BPlusTree<int64_t> tree;
   int64_t i = 0;

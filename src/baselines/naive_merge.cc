@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/strings.h"
+#include "engine/aggregate.h"
 
 namespace sphere::baselines {
 
@@ -55,27 +56,14 @@ Result<engine::ExecResult> NaiveScatterMerge(
         combined.push_back(rows.empty() ? Value::Null() : rows[0][i]);
         continue;
       }
-      if (EqualsIgnoreCase(f->name, "AVG")) {
+      engine::AggKind kind = engine::AggKindOf(f->name);
+      if (kind == engine::AggKind::kAvg) {
         return Status::Unsupported(system_name +
                                    ": scatter AVG is not supported");
       }
-      Value acc = Value::Null();
-      for (const Row& row : rows) {
-        const Value& v = row[i];
-        if (v.is_null()) continue;
-        if (acc.is_null()) {
-          acc = v;
-        } else if (EqualsIgnoreCase(f->name, "COUNT") ||
-                   EqualsIgnoreCase(f->name, "SUM")) {
-          acc = acc.is_int() && v.is_int() ? Value(acc.AsInt() + v.AsInt())
-                                           : Value(acc.ToDouble() + v.ToDouble());
-        } else if (EqualsIgnoreCase(f->name, "MIN")) {
-          if (v.Compare(acc) < 0) acc = v;
-        } else {  // MAX
-          if (v.Compare(acc) > 0) acc = v;
-        }
-      }
-      combined.push_back(std::move(acc));
+      engine::Aggregator acc(kind);
+      for (const Row& row : rows) acc.Combine(row[i]);
+      combined.push_back(acc.Finish());
     }
     return engine::ExecResult::Query(std::make_unique<engine::VectorResultSet>(
         std::move(columns), std::vector<Row>{std::move(combined)}));

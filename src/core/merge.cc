@@ -1,11 +1,12 @@
 #include "core/merge.h"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/hash.h"
 #include "common/strings.h"
+#include "engine/aggregate.h"
 #include "engine/row_batch.h"
 #include "engine/row_dedup.h"
 
@@ -63,136 +64,6 @@ bool SameGroup(const Row& a, const Row& b, const std::vector<MergeKey>& keys) {
   }
   return true;
 }
-
-// ---------------------------------------------------------------------------
-// Aggregation units
-// ---------------------------------------------------------------------------
-
-/// Combines partial aggregate values coming from the shards.
-struct AggUnit {
-  const AggDesc* desc;
-  bool any = false;
-  Value acc;
-
-  void Accumulate(const Value& v) {
-    if (v.is_null()) return;
-    if (!any) {
-      acc = v;
-      any = true;
-      return;
-    }
-    switch (desc->kind) {
-      case AggKind::kCount:
-      case AggKind::kSum:
-        if (acc.is_int() && v.is_int()) {
-          acc = Value(acc.AsInt() + v.AsInt());
-        } else {
-          acc = Value(acc.ToDouble() + v.ToDouble());
-        }
-        break;
-      case AggKind::kMin:
-        if (v.Compare(acc) < 0) acc = v;
-        break;
-      case AggKind::kMax:
-        if (v.Compare(acc) > 0) acc = v;
-        break;
-      case AggKind::kAvg:
-        break;  // recomputed from derived SUM/COUNT
-    }
-  }
-
-  Value Finish() const {
-    if (!any) {
-      return desc->kind == AggKind::kCount ? Value(int64_t{0}) : Value::Null();
-    }
-    return acc;
-  }
-};
-
-/// Aggregates the shard rows of one group into one output row.
-class GroupAccumulator {
- public:
-  GroupAccumulator(const MergeContext& ctx) : ctx_(ctx) {}
-
-  void Start(const Row& first) {
-    row_ = first;
-    units_.clear();
-    units_.reserve(ctx_.aggregations.size());
-    for (const auto& desc : ctx_.aggregations) {
-      AggUnit unit{&desc, false, Value::Null()};
-      unit.Accumulate(first[desc.index]);
-      units_.push_back(std::move(unit));
-      // Derived AVG inputs also accumulate.
-    }
-    StartDerived(first);
-  }
-
-  void Add(const Row& row) {
-    for (auto& unit : units_) {
-      unit.Accumulate(row[unit.desc->index]);
-    }
-    AddDerived(row);
-  }
-
-  /// Moves the finished row out; Start() re-initializes for the next group.
-  Row Finish() {
-    for (auto& unit : units_) {
-      row_[unit.desc->index] = unit.Finish();
-    }
-    // AVG = total SUM / total COUNT from the derived columns.
-    for (const auto& desc : ctx_.aggregations) {
-      if (desc.kind != AggKind::kAvg) continue;
-      double count = derived_.count(desc.count_index)
-                         ? derived_[desc.count_index].ToDouble()
-                         : 0.0;
-      double sum = derived_.count(desc.sum_index)
-                       ? derived_[desc.sum_index].ToDouble()
-                       : 0.0;
-      row_[desc.index] = count > 0 ? Value(sum / count) : Value::Null();
-      if (desc.count_index >= 0 &&
-          static_cast<size_t>(desc.count_index) < row_.size()) {
-        row_[static_cast<size_t>(desc.count_index)] =
-            derived_.count(desc.count_index) ? derived_[desc.count_index]
-                                             : Value(int64_t{0});
-      }
-      if (desc.sum_index >= 0 && static_cast<size_t>(desc.sum_index) < row_.size()) {
-        row_[static_cast<size_t>(desc.sum_index)] =
-            derived_.count(desc.sum_index) ? derived_[desc.sum_index]
-                                           : Value::Null();
-      }
-    }
-    return std::move(row_);
-  }
-
- private:
-  void StartDerived(const Row& row) {
-    derived_.clear();
-    AddDerived(row);
-  }
-  void AddDerived(const Row& row) {
-    for (const auto& desc : ctx_.aggregations) {
-      if (desc.kind != AggKind::kAvg) continue;
-      for (int idx : {desc.count_index, desc.sum_index}) {
-        if (idx < 0 || static_cast<size_t>(idx) >= row.size()) continue;
-        const Value& v = row[static_cast<size_t>(idx)];
-        if (v.is_null()) continue;
-        auto it = derived_.find(idx);
-        if (it == derived_.end()) {
-          derived_[idx] = v;
-        } else if (it->second.is_int() && v.is_int()) {
-          it->second = Value(it->second.AsInt() + v.AsInt());
-        } else {
-          it->second = Value(it->second.ToDouble() + v.ToDouble());
-        }
-      }
-    }
-  }
-
-  const MergeContext& ctx_;
-  Row row_;
-  std::vector<AggUnit> units_;
-  std::map<int, Value> derived_;
-};
 
 // ---------------------------------------------------------------------------
 // Stream mergers
@@ -364,42 +235,95 @@ class OrderByStreamMergedResult : public ResultSet {
   std::vector<Entry> heap_;
 };
 
-/// Group-by stream merger: consumes a group-key-sorted stream and folds the
-/// consecutive rows of one group through the aggregation units.
-class GroupByStreamMergedResult : public ResultSet {
- public:
-  GroupByStreamMergedResult(ResultSetPtr sorted, const MergeContext& ctx,
-                            std::vector<MergeKey> group_keys,
-                            std::vector<std::string> columns)
-      : sorted_(std::move(sorted)), ctx_(ctx), group_keys_(std::move(group_keys)),
-        columns_(std::move(columns)), acc_(ctx) {
-    has_pending_ = sorted_->Next(&pending_);
-  }
+// ---------------------------------------------------------------------------
+// Group-by merger
+// ---------------------------------------------------------------------------
 
-  const std::vector<std::string>& columns() const override { return columns_; }
+/// Folds every shard's partial rows into one row per group through the
+/// aggregate kernel (paper's group-by memory merger). Groups key on the
+/// group-key columns; a global aggregate is the one group with the empty
+/// key. Each group keeps its first row from the lowest-index source, its
+/// aggregate columns replaced by the combined values. The groups come out
+/// sorted by the ORDER BY keys, then the group keys.
+std::vector<Row> FoldGroups(std::vector<ResultSetPtr>* sources,
+                            const std::vector<AggDesc>& aggregations,
+                            const std::vector<MergeKey>& group_keys,
+                            const std::vector<MergeKey>& order_keys) {
+  using engine::AggKind;
+  const size_t width = aggregations.size();
 
-  bool Next(Row* row) override {
-    if (!has_pending_) return false;
-    Row current = std::move(pending_);
-    acc_.Start(current);
-    for (;;) {
-      has_pending_ = sorted_->Next(&pending_);
-      if (!has_pending_ || !SameGroup(current, pending_, group_keys_)) break;
-      acc_.Add(pending_);
+  std::vector<Row> groups;               // first rows, first-seen order
+  std::vector<engine::Aggregator> accs;  // `width` per group
+  // Hashes and compares rows of `groups` on the group-key columns only, so
+  // an incoming row is probed in place with no key copy.
+  struct ByKeys {
+    const std::vector<Row>* rows;
+    const std::vector<MergeKey>* keys;
+    size_t operator()(size_t i) const {
+      uint64_t h = 0xcbf29ce484222325ULL;
+      for (const auto& k : *keys) {
+        h = HashCombine(h, (*rows)[i][static_cast<size_t>(k.index)].Hash());
+      }
+      return static_cast<size_t>(h);
     }
-    *row = acc_.Finish();
-    return true;
+    bool operator()(size_t a, size_t b) const {
+      return SameGroup((*rows)[a], (*rows)[b], *keys);
+    }
+  };
+  const ByKeys by_keys{&groups, &group_keys};
+  std::unordered_set<size_t, ByKeys, ByKeys> index(0, by_keys, by_keys);
+
+  engine::RowBatch batch(0);
+  std::vector<Row>& scratch = *batch.out();
+  for (auto& src : *sources) {
+    for (;;) {
+      scratch.clear();
+      if (src->NextBatch(&scratch, engine::kBatchSize) == 0) break;
+      for (Row& row : scratch) {
+        // The row joins `groups` as a candidate first row; when its group
+        // already exists it is folded in and dropped again.
+        groups.push_back(std::move(row));
+        size_t g = group_keys.empty()
+                       ? 0
+                       : *index.insert(groups.size() - 1).first;
+        const bool fresh = g == groups.size() - 1;
+        if (fresh) {
+          for (const AggDesc& desc : aggregations) accs.emplace_back(desc.kind);
+        }
+        // AVG columns finish from their hidden SUM/COUNT partners; every
+        // other aggregate column combines its shards' partials.
+        for (size_t i = 0; i < width; ++i) {
+          if (aggregations[i].kind == AggKind::kAvg) continue;
+          accs[g * width + i].Combine(groups.back()[aggregations[i].index]);
+        }
+        if (!fresh) groups.pop_back();
+      }
+    }
   }
 
- private:
-  ResultSetPtr sorted_;
-  const MergeContext& ctx_;
-  std::vector<MergeKey> group_keys_;
-  std::vector<std::string> columns_;
-  GroupAccumulator acc_;
-  Row pending_;
-  bool has_pending_ = false;
-};
+  for (size_t g = 0; g < groups.size(); ++g) {
+    Row& row = groups[g];
+    for (size_t i = 0; i < width; ++i) {
+      if (aggregations[i].kind == AggKind::kAvg) continue;
+      row[aggregations[i].index] = accs[g * width + i].Finish();
+    }
+    for (const AggDesc& desc : aggregations) {
+      if (desc.kind != AggKind::kAvg) continue;
+      row[desc.index] = engine::Aggregator::Average(
+          row[static_cast<size_t>(desc.sum_index)],
+          row[static_cast<size_t>(desc.count_index)]);
+    }
+  }
+  if (groups.size() > 1) {
+    std::stable_sort(groups.begin(), groups.end(),
+                     [&](const Row& a, const Row& b) {
+                       int c = CompareByKeys(a, b, order_keys);
+                       if (c != 0) return c < 0;
+                       return CompareByKeys(a, b, group_keys) < 0;
+                     });
+  }
+  return groups;
+}
 
 // ---------------------------------------------------------------------------
 // Decorators
@@ -593,100 +517,10 @@ Result<engine::ExecResult> MergeEngine::Merge(
                           ResolveKeys(ctx.group_by, physical_columns));
 
   ResultSetPtr merged;
-  bool has_group = !group_keys.empty();
-  bool has_agg = !ctx.aggregations.empty();
-
-  if (has_agg && !has_group) {
-    // Global aggregation: every shard returns one row; fold them all.
-    GroupAccumulator acc(ctx);
-    bool started = false;
-    Row row;
-    for (auto& src : sources) {
-      while (src->Next(&row)) {
-        if (!started) {
-          acc.Start(row);
-          started = true;
-        } else {
-          acc.Add(row);
-        }
-      }
-    }
-    std::vector<Row> rows;
-    if (started) rows.push_back(acc.Finish());
-    merged = std::make_unique<VectorResultSet>(labels, std::move(rows));
-  } else if (has_group) {
-    if (ctx.sorted_for_group) {
-      // Stream path: k-way merge by group keys, then streaming aggregation.
-      std::vector<MergeKey> sort_keys = group_keys;
-      auto sorted = std::make_unique<OrderByStreamMergedResult>(
-          std::move(sources), labels, sort_keys);
-      merged = std::make_unique<GroupByStreamMergedResult>(
-          std::move(sorted), ctx, group_keys, labels);
-      // Materialize so the (stack-local) context outlives safely and user
-      // ORDER BY can re-sort.
-      auto* stream = merged.get();
-      std::vector<Row> rows = engine::DrainResultSet(stream);
-      merged = std::make_unique<VectorResultSet>(labels, std::move(rows));
-    } else {
-      // Memory path: hash aggregation over all rows. The map keys on each
-      // group's first full row but hashes/compares only the group-key
-      // columns, so incoming rows probe directly with no key extraction.
-      struct GroupHash {
-        const std::vector<MergeKey>* keys;
-        size_t operator()(const Row& r) const {
-          uint64_t h = 0xcbf29ce484222325ULL;
-          for (const auto& k : *keys) {
-            h = HashCombine(h, r[static_cast<size_t>(k.index)].Hash());
-          }
-          return static_cast<size_t>(h);
-        }
-      };
-      struct GroupEq {
-        const std::vector<MergeKey>* keys;
-        bool operator()(const Row& a, const Row& b) const {
-          return SameGroup(a, b, *keys);
-        }
-      };
-      std::unordered_map<Row, GroupAccumulator, GroupHash, GroupEq> groups(
-          16, GroupHash{&group_keys}, GroupEq{&group_keys});
-      std::vector<Row> batch;
-      for (auto& src : sources) {
-        for (;;) {
-          batch.clear();
-          if (src->NextBatch(&batch, engine::kBatchSize) == 0) {
-            break;
-          }
-          for (Row& row : batch) {
-            auto it = groups.find(row);
-            if (it == groups.end()) {
-              auto [ins, ok] = groups.emplace(std::move(row), GroupAccumulator(ctx));
-              ins->second.Start(ins->first);
-            } else {
-              it->second.Add(row);
-            }
-          }
-        }
-      }
-      std::vector<Row> rows;
-      rows.reserve(groups.size());
-      for (auto& [key, acc] : groups) rows.push_back(acc.Finish());
-      // Hash order is arbitrary; restore the group-key order the ordered map
-      // used to produce (and that ties in a later ORDER BY re-sort rely on).
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](const Row& a, const Row& b) {
-                         return CompareByKeys(a, b, group_keys) < 0;
-                       });
-      merged = std::make_unique<VectorResultSet>(labels, std::move(rows));
-    }
-    // Re-sort by the user's ORDER BY when it differs from the group order.
-    if (!order_keys.empty()) {
-      std::vector<Row> rows = engine::DrainResultSet(merged.get());
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](const Row& a, const Row& b) {
-                         return CompareByKeys(a, b, order_keys) < 0;
-                       });
-      merged = std::make_unique<VectorResultSet>(labels, std::move(rows));
-    }
+  if (!group_keys.empty() || !ctx.aggregations.empty()) {
+    merged = std::make_unique<VectorResultSet>(
+        labels,
+        FoldGroups(&sources, ctx.aggregations, group_keys, order_keys));
   } else if (!order_keys.empty()) {
     merged = std::make_unique<OrderByStreamMergedResult>(std::move(sources),
                                                          labels, order_keys);

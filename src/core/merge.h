@@ -13,14 +13,14 @@ namespace sphere::core {
 /// The result merger (paper §VI-E): combines the per-shard ExecResults of one
 /// logical statement into a single result.
 ///
-/// Queries merge through a pipeline of mergers and decorators, mirroring the
-/// original architecture:
+/// Queries merge through one merger and a chain of decorators:
 ///   - iteration merger: plain concatenation of cursors,
-///   - order-by stream merger: k-way merge with a priority queue,
-///   - group-by stream merger: aggregation over group-key-sorted cursors,
-///   - group-by memory merger: hash aggregation when inputs are unsorted,
-///   - decorators: AVG recomputation, DISTINCT, pagination, projection of
-///     derived columns away.
+///   - order-by stream merger: k-way merge over a binary heap,
+///   - group-by merger: one hash fold of every aggregated SELECT (a global
+///     aggregate is the group with the empty key) through the aggregate
+///     kernel (engine/aggregate.h); AVG finishes from its hidden SUM and
+///     COUNT columns,
+///   - decorators: DISTINCT, pagination, projection of derived columns away.
 /// Updates merge by summing affected row counts.
 class MergeEngine {
  public:

@@ -206,14 +206,6 @@ std::vector<sql::ExprPtr> CloneArgs(const sql::FuncCallExpr* f) {
   return args;
 }
 
-AggKind AggKindOf(const std::string& name) {
-  if (EqualsIgnoreCase(name, "COUNT")) return AggKind::kCount;
-  if (EqualsIgnoreCase(name, "SUM")) return AggKind::kSum;
-  if (EqualsIgnoreCase(name, "MIN")) return AggKind::kMin;
-  if (EqualsIgnoreCase(name, "MAX")) return AggKind::kMax;
-  return AggKind::kAvg;
-}
-
 /// One SELECT unit: `tmpl` cloned onto the unit's actual tables. The clone
 /// is what the node executes; the rendered text prices the request on the
 /// modeled wire and is what PREVIEW/TRACE show (DESIGN.md §10).
@@ -320,33 +312,32 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
     for (const auto& item : stmt.items) {
       merge.labels.push_back(item.Label(dialect_));
     }
-    // Aggregation descriptors; AVG derives COUNT + SUM columns.
+    // Aggregation descriptors. AVG appends hidden COUNT and SUM columns
+    // (keeping its DISTINCT), each merged as an aggregate of its own.
     int derived = 0;
     for (size_t i = 0; i < stmt.items.size(); ++i) {
       const sql::FuncCallExpr* agg = TopLevelAggregate(stmt.items[i]);
       if (agg == nullptr) continue;
-      AggDesc desc;
-      desc.index = i;
-      desc.kind = AggKindOf(agg->name);
-      desc.distinct = agg->distinct;
-      if (desc.kind == AggKind::kAvg) {
-        auto count_item = sql::SelectItem(
-            std::make_unique<sql::FuncCallExpr>(
-                "COUNT", CloneArgs(agg), false, agg->star),
-            "AVG_DERIVED_COUNT_" + std::to_string(derived));
-        auto sum_item = sql::SelectItem(
-            std::make_unique<sql::FuncCallExpr>(
-                "SUM", CloneArgs(agg), false, false),
-            "AVG_DERIVED_SUM_" + std::to_string(derived));
-        desc.count_index = static_cast<int>(tmpl->items.size());
-        merge.labels.push_back(count_item.alias);
-        tmpl->items.push_back(std::move(count_item));
-        desc.sum_index = static_cast<int>(tmpl->items.size());
-        merge.labels.push_back(sum_item.alias);
-        tmpl->items.push_back(std::move(sum_item));
-        ++derived;
+      AggDesc desc{i, engine::AggKindOf(agg->name), agg->distinct};
+      if (desc.kind != engine::AggKind::kAvg) {
+        merge.aggregations.push_back(desc);
+        continue;
       }
+      desc.count_index = static_cast<int>(tmpl->items.size());
+      desc.sum_index = desc.count_index + 1;
       merge.aggregations.push_back(desc);
+      for (std::string name : {"COUNT", "SUM"}) {
+        merge.aggregations.push_back(AggDesc{
+            tmpl->items.size(), engine::AggKindOf(name), agg->distinct});
+        merge.labels.push_back("AVG_DERIVED_" + name + "_" +
+                               std::to_string(derived));
+        tmpl->items.emplace_back(
+            std::make_unique<sql::FuncCallExpr>(
+                name, CloneArgs(agg), agg->distinct,
+                agg->star && name == "COUNT"),
+            merge.labels.back());
+      }
+      ++derived;
     }
   }
 
@@ -393,39 +384,26 @@ Result<RewriteResult> RewriteEngine::RewriteSelect(
     merge.order_by.push_back(std::move(key));
   }
 
-  // Stream-merger optimization (paper §VI-C): a GROUP BY without ORDER BY
-  // gets an ORDER BY over the group keys so the merger can stream.
-  if (!stmt.group_by.empty()) {
-    if (stmt.order_by.empty()) {
-      for (size_t i = 0; i < stmt.group_by.size(); ++i) {
-        tmpl->order_by.emplace_back(stmt.group_by[i]->Clone(), false);
-      }
-      merge.sorted_for_group = true;
-    } else {
-      // Stream merge also works when ORDER BY equals GROUP BY ascending.
-      bool same = stmt.order_by.size() == stmt.group_by.size();
-      for (size_t i = 0; same && i < stmt.order_by.size(); ++i) {
-        same = !stmt.order_by[i].desc &&
-               stmt.order_by[i].expr->ToSQL(dialect_) ==
-                   stmt.group_by[i]->ToSQL(dialect_);
-      }
-      merge.sorted_for_group = same;
-    }
-  }
-
   // Pagination revision (paper §VI-C): each node must return the first
-  // offset+count rows so the merger can skip the true offset globally.
+  // offset+count rows so the merger can skip the true offset globally. Under
+  // GROUP BY that holds only while every ORDER BY key is a group key (the
+  // same merge column), where a node's first rows are whole groups in the
+  // global order. Ordered by an aggregate or any other column, a shard's top
+  // rows rank its partial groups, so nodes get no LIMIT (ShardingSphere's
+  // max-row-count rule).
   if (stmt.limit.has_value()) {
     merge.limit = stmt.limit;
-    sql::LimitClause revised;
-    revised.offset = 0;
-    revised.count = stmt.limit->count < 0
-                        ? -1
-                        : stmt.limit->offset + stmt.limit->count;
-    if (revised.count < 0) {
-      tmpl->limit.reset();  // OFFSET-only: nodes return everything
+    bool push = stmt.limit->count >= 0;
+    for (size_t o = 0; push && !stmt.group_by.empty() &&
+                       o < merge.order_by.size(); ++o) {
+      push = std::any_of(
+          merge.group_by.begin(), merge.group_by.end(),
+          [&](const MergeKey& g) { return g.index == merge.order_by[o].index; });
+    }
+    if (push) {
+      tmpl->limit = sql::LimitClause{0, stmt.limit->offset + stmt.limit->count};
     } else {
-      tmpl->limit = revised;
+      tmpl->limit.reset();  // nodes return everything
     }
   }
 

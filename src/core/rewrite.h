@@ -8,21 +8,21 @@
 
 #include "common/result.h"
 #include "core/route.h"
+#include "engine/aggregate.h"
 #include "sql/ast.h"
 #include "sql/dialect.h"
 
 namespace sphere::core {
 
-/// Aggregate kinds the result merger understands.
-enum class AggKind { kCount, kSum, kMin, kMax, kAvg };
-
-/// One aggregate column of the (physical) select list.
+/// One aggregate column of the (physical) select list. An AVG column has two
+/// hidden partners the rewriter appends, each with its own kSum/kCount entry;
+/// the merger finishes the AVG from them.
 struct AggDesc {
   size_t index = 0;      ///< column position of the aggregate
-  AggKind kind = AggKind::kCount;
+  engine::AggKind kind = engine::AggKind::kCount;
   bool distinct = false;
-  int sum_index = -1;    ///< kAvg: derived SUM column appended by the rewriter
-  int count_index = -1;  ///< kAvg: derived COUNT column appended by the rewriter
+  int sum_index = -1;    ///< kAvg: its derived SUM column
+  int count_index = -1;  ///< kAvg: its derived COUNT column
 };
 
 /// Merge key: a physical column index when known at rewrite time, otherwise a
@@ -43,9 +43,6 @@ struct MergeContext {
   std::vector<AggDesc> aggregations;
   std::vector<MergeKey> order_by;
   std::vector<MergeKey> group_by;
-  /// Physical results arrive sorted by the group keys (stream group-by merge
-  /// possible; the rewriter's stream-merger optimization sets this).
-  bool sorted_for_group = false;
   bool distinct = false;
   std::optional<sql::LimitClause> limit;  ///< applied after merging
 };
@@ -83,9 +80,8 @@ struct RewriteResult {
 };
 
 /// The SQL rewriter (paper §VI-C): correctness rewrites (identifier renaming,
-/// column derivation, pagination revision, batched-insert split) and
-/// optimization rewrites (single-node short circuit, stream-merger ORDER BY
-/// injection).
+/// column derivation, pagination revision, batched-insert split) and the
+/// single-node short circuit.
 class RewriteEngine {
  public:
   explicit RewriteEngine(const sql::Dialect& dialect = sql::Dialect::MySQL())

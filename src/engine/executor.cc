@@ -4,10 +4,10 @@
 #include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 
 #include "common/strings.h"
+#include "engine/aggregate.h"
 #include "engine/row_batch.h"
 #include "engine/row_dedup.h"
 #include "engine/storage_node.h"
@@ -333,66 +333,6 @@ Status DrainMatches(const ScanPlan& plan, storage::ReadView view,
 // Aggregation
 // ---------------------------------------------------------------------------
 
-enum class AggType { kCount, kSum, kMin, kMax, kAvg };
-
-AggType AggTypeOf(const std::string& name) {
-  if (EqualsIgnoreCase(name, "SUM")) return AggType::kSum;
-  if (EqualsIgnoreCase(name, "MIN")) return AggType::kMin;
-  if (EqualsIgnoreCase(name, "MAX")) return AggType::kMax;
-  if (EqualsIgnoreCase(name, "AVG")) return AggType::kAvg;
-  return AggType::kCount;  // IsAggregate() admits only these five names
-}
-
-/// One aggregate accumulator.
-struct AggState {
-  explicit AggState(const sql::FuncCallExpr* f)
-      : type(AggTypeOf(f->name)), distinct(f->distinct) {}
-
-  AggType type;
-  bool distinct;
-  int64_t count = 0;
-  double sum = 0;
-  bool sum_is_int = true;
-  int64_t isum = 0;
-  Value min, max;
-  std::set<Value> distinct_values;
-
-  void Accumulate(const Value& v) {
-    if (v.is_null()) return;
-    if (distinct) {
-      if (!distinct_values.insert(v).second) return;
-    }
-    ++count;
-    if (v.is_int()) {
-      isum += v.AsInt();
-      sum += static_cast<double>(v.AsInt());
-    } else if (v.is_double()) {
-      sum_is_int = false;
-      sum += v.AsDouble();
-    }
-    if (min.is_null() || v.Compare(min) < 0) min = v;
-    if (max.is_null() || v.Compare(max) > 0) max = v;
-  }
-
-  Value Finish() const {
-    switch (type) {
-      case AggType::kCount:
-        return Value(count);
-      case AggType::kSum:
-        if (count == 0) return Value::Null();
-        return sum_is_int ? Value(isum) : Value(sum);
-      case AggType::kMin:
-        return min;
-      case AggType::kMax:
-        return max;
-      case AggType::kAvg:
-        if (count == 0) return Value::Null();
-        return Value(sum / static_cast<double>(count));
-    }
-    return Value::Null();
-  }
-};
-
 /// Every aggregate call of a query (select items, HAVING, ORDER BY), one
 /// accumulator slot per call node, and whether any expression reads a source
 /// column outside an aggregate (then each group keeps its first row).
@@ -426,7 +366,7 @@ struct AggPlan {
 /// One group's accumulated state.
 struct Group {
   Row first_row;  ///< first source row, kept when the plan reads columns
-  ArenaVector<AggState> aggs;
+  ArenaVector<Aggregator> aggs;
 };
 
 /// Groups in ascending key order, their nodes in the statement arena.
@@ -703,7 +643,9 @@ Result<ExecResult> Executor::ExecuteSelect(const sql::SelectStatement& stmt,
     if (it != groups.end()) return it->second;
     Group& g = groups[key];
     if (aggs.reads_columns) g.first_row = row;
-    for (const sql::FuncCallExpr* f : aggs.calls) g.aggs.emplace_back(f);
+    for (const sql::FuncCallExpr* f : aggs.calls) {
+      g.aggs.emplace_back(AggKindOf(f->name), f->distinct);
+    }
     return g;
   };
   Row key;
@@ -717,11 +659,11 @@ Result<ExecResult> Executor::ExecuteSelect(const sql::SelectStatement& stmt,
     for (size_t i = 0; i < aggs.calls.size(); ++i) {
       const sql::FuncCallExpr* f = aggs.calls[i];
       if (f->star) {
-        g.aggs[i].Accumulate(Value(int64_t{1}));
+        g.aggs[i].Add(Value(int64_t{1}));
       } else if (!f->args.empty()) {
         SPHERE_ASSIGN_OR_RETURN(
             Value v, EvalExpr(f->args[0].get(), columns, row, params));
-        g.aggs[i].Accumulate(v);
+        g.aggs[i].Add(v);
       }
     }
     return true;

@@ -131,8 +131,7 @@ TEST_F(MergeStreamTest, DistinctWithLimitAcrossShards) {
 }
 
 TEST_F(MergeStreamTest, MemoryGroupByIsDeterministicAndKeyOrdered) {
-  // GROUP BY age ORDER BY age DESC defeats the stream merger (sorted_for_group
-  // is false), forcing the hash-aggregation path; its output must come back
+  // The group-by merger hash-folds the groups; its output must come back
   // deterministically ordered by the user's ORDER BY.
   const std::string sql =
       "SELECT age, COUNT(*), SUM(score) FROM t_user GROUP BY age ORDER BY age DESC";

@@ -69,11 +69,16 @@ TEST(RewriteTest, SingleUnitPassThrough) {
 
 TEST(RewriteTest, AvgDerivesCountAndSum) {
   auto r = MustRewrite("SELECT AVG(score) FROM t_user", TwoUnitRoute());
-  ASSERT_EQ(r.merge.aggregations.size(), 1u);
+  // The AVG plus its hidden COUNT and SUM partners.
+  ASSERT_EQ(r.merge.aggregations.size(), 3u);
   const AggDesc& d = r.merge.aggregations[0];
-  EXPECT_EQ(d.kind, AggKind::kAvg);
+  EXPECT_EQ(d.kind, engine::AggKind::kAvg);
   EXPECT_EQ(d.count_index, 1);
   EXPECT_EQ(d.sum_index, 2);
+  EXPECT_EQ(r.merge.aggregations[1].kind, engine::AggKind::kCount);
+  EXPECT_EQ(r.merge.aggregations[1].index, 1u);
+  EXPECT_EQ(r.merge.aggregations[2].kind, engine::AggKind::kSum);
+  EXPECT_EQ(r.merge.aggregations[2].index, 2u);
   EXPECT_NE(r.units[0].sql.find("AVG_DERIVED_COUNT_0"), std::string::npos);
   EXPECT_NE(r.units[0].sql.find("AVG_DERIVED_SUM_0"), std::string::npos);
   EXPECT_EQ(r.merge.visible_columns, 1u);
@@ -98,29 +103,61 @@ TEST(RewriteTest, OrderByInSelectNotDerived) {
   EXPECT_EQ(r.units[0].sql.find("DERIVED"), std::string::npos);
 }
 
-TEST(RewriteTest, StreamMergerOptimizationAddsOrderBy) {
-  // Paper §VI-C optimization rewrite 2: GROUP BY without ORDER BY gets an
-  // ORDER BY so the merger can stream.
+TEST(RewriteTest, AvgDistinctDerivesDistinctCountAndSum) {
+  auto r = MustRewrite("SELECT AVG(DISTINCT score) FROM t_user", TwoUnitRoute());
+  ASSERT_EQ(r.merge.aggregations.size(), 3u);
+  for (const AggDesc& d : r.merge.aggregations) EXPECT_TRUE(d.distinct);
+  EXPECT_NE(r.units[0].sql.find("COUNT(DISTINCT score)"), std::string::npos)
+      << r.units[0].sql;
+  EXPECT_NE(r.units[0].sql.find("SUM(DISTINCT score)"), std::string::npos)
+      << r.units[0].sql;
+}
+
+TEST(RewriteTest, GroupByUnitCarriesNoOrderBy) {
+  // The merger hash-folds groups, so no ORDER BY is injected for it.
   auto r = MustRewrite("SELECT name, SUM(score) FROM t_user GROUP BY name",
                        TwoUnitRoute());
-  EXPECT_TRUE(r.merge.sorted_for_group);
-  EXPECT_NE(r.units[0].sql.find("ORDER BY"), std::string::npos);
+  EXPECT_EQ(r.units[0].sql.find("ORDER BY"), std::string::npos)
+      << r.units[0].sql;
   ASSERT_EQ(r.merge.group_by.size(), 1u);
   EXPECT_EQ(r.merge.group_by[0].index, 0);
+  EXPECT_TRUE(r.merge.order_by.empty());
 }
 
-TEST(RewriteTest, GroupByMatchingOrderByStaysStream) {
-  auto r = MustRewrite(
-      "SELECT name, SUM(score) FROM t_user GROUP BY name ORDER BY name",
-      TwoUnitRoute());
-  EXPECT_TRUE(r.merge.sorted_for_group);
+TEST(RewriteTest, GroupByOrderedByGroupKeyKeepsPushedLimit) {
+  // Ordered by group keys (either direction), a node's first offset+count
+  // rows are whole groups in the global order.
+  for (const char* sql_text :
+       {"SELECT name, SUM(score) FROM t_user GROUP BY name ORDER BY name "
+        "LIMIT 2, 3",
+        "SELECT name, SUM(score) FROM t_user GROUP BY name ORDER BY name DESC "
+        "LIMIT 2, 3",
+        "SELECT name, SUM(score) FROM t_user GROUP BY name LIMIT 2, 3"}) {
+    auto r = MustRewrite(sql_text, TwoUnitRoute());
+    EXPECT_NE(r.units[0].sql.find("LIMIT 5"), std::string::npos)
+        << r.units[0].sql;
+    ASSERT_TRUE(r.merge.limit.has_value());
+    EXPECT_EQ(r.merge.limit->offset, 2);
+    EXPECT_EQ(r.merge.limit->count, 3);
+  }
 }
 
-TEST(RewriteTest, GroupByWithDifferentOrderByIsMemory) {
-  auto r = MustRewrite(
-      "SELECT name, SUM(score) s FROM t_user GROUP BY name ORDER BY s DESC",
-      TwoUnitRoute());
-  EXPECT_FALSE(r.merge.sorted_for_group);
+TEST(RewriteTest, GroupByOrderedByAggregateDropsPushedLimit) {
+  // Ordered by an aggregate (or any non-key column), a shard's top rows rank
+  // its partial groups: the nodes must return every group.
+  for (const char* sql_text :
+       {"SELECT name, SUM(score) s FROM t_user GROUP BY name ORDER BY s DESC "
+        "LIMIT 3",
+        "SELECT name, COUNT(*) c FROM t_user GROUP BY name ORDER BY c, name "
+        "LIMIT 3",
+        "SELECT name, SUM(score) FROM t_user GROUP BY name ORDER BY age "
+        "LIMIT 3"}) {
+    auto r = MustRewrite(sql_text, TwoUnitRoute());
+    EXPECT_EQ(r.units[0].sql.find("LIMIT"), std::string::npos)
+        << r.units[0].sql;
+    ASSERT_TRUE(r.merge.limit.has_value());
+    EXPECT_EQ(r.merge.limit->count, 3);
+  }
 }
 
 TEST(RewriteTest, PaginationRevised) {

@@ -116,6 +116,41 @@ TEST_F(RuntimeTest, GlobalAggregates) {
   EXPECT_EQ(rows[0].size(), 5u);      // derived columns trimmed
 }
 
+TEST_F(RuntimeTest, AvgDistinctOverRepeatedShardingKeys) {
+  // Extra orders repeat uids 0-7, so a non-DISTINCT SUM/COUNT would weight
+  // them twice.
+  for (int i = 0; i < 16; ++i) {
+    Exec(StrFormat("INSERT INTO t_order (oid, uid, amount, month) VALUES "
+                   "(%d, %d, 1.0, 202101)",
+                   200 + i, i % 8));
+  }
+  auto rows = Query(
+      "SELECT AVG(DISTINCT uid), COUNT(DISTINCT uid), SUM(DISTINCT uid) "
+      "FROM t_order");
+  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(rows[0].size(), 3u);
+  EXPECT_EQ(rows[0][1], Value(20));
+  EXPECT_EQ(rows[0][2], Value(190));
+  EXPECT_DOUBLE_EQ(rows[0][0].ToDouble(),
+                   rows[0][2].ToDouble() / rows[0][1].ToDouble());
+}
+
+TEST_F(RuntimeTest, GroupByOrderedByAggregateWithLimit) {
+  // Months 202101..202103 hold 7, 7 and 6 orders, split over the shards; a
+  // per-shard LIMIT would rank partial counts.
+  auto rows = Query(
+      "SELECT month, COUNT(*) c FROM t_order GROUP BY month ORDER BY c LIMIT 1");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value(202103));
+  EXPECT_EQ(rows[0][1], Value(6));
+  rows = Query(
+      "SELECT age, SUM(score) s FROM t_user GROUP BY age ORDER BY s DESC "
+      "LIMIT 1");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], Value(24));  // 4.5 + 9.5 + 14.5 + 19.5
+  EXPECT_DOUBLE_EQ(rows[0][1].ToDouble(), 48.0);
+}
+
 TEST_F(RuntimeTest, AvgIsNotAverageOfAverages) {
   // Shard 0 holds uids {0,4,8,12,16}, shard 1 {1,5,9,13,17}, etc. A naive
   // average-of-averages would coincide here, so use a skewed predicate.
@@ -335,6 +370,14 @@ TEST_P(ShardingOracleTest, ShardedEqualsUnsharded) {
       "SELECT DISTINCT age FROM t_user ORDER BY age",
       "SELECT age, SUM(score) s FROM t_user WHERE uid < 40 GROUP BY age "
       "ORDER BY age DESC",
+      "SELECT age, COUNT(*), SUM(score), MAX(name) FROM t_user GROUP BY age",
+      "SELECT age, COUNT(*), AVG(score) FROM t_user GROUP BY age LIMIT 1, 3",
+      "SELECT age, COUNT(*) c FROM t_user GROUP BY age ORDER BY c DESC, age "
+      "LIMIT 2",
+      "SELECT age, SUM(score) s FROM t_user GROUP BY age ORDER BY s, age "
+      "LIMIT 1, 2",
+      "SELECT COUNT(*), SUM(score), MIN(score), MAX(score), AVG(score) "
+      "FROM t_user WHERE uid > 1000",
   };
   for (const char* q : queries) run_both(q);
 

@@ -115,7 +115,7 @@ TEST_F(StructuredUnitTest, EverySelectShapeRunsItsAstLikeItsText) {
   const std::vector<Case> cases = {
       // AVG -> SUM/COUNT derivation.
       {"SELECT AVG(score), COUNT(*) FROM t_user", {}},
-      // GROUP BY without ORDER BY: the rewriter injects ORDER BY age.
+      // GROUP BY without ORDER BY: the merger hash-folds the groups.
       {"SELECT age, COUNT(*), MAX(score) FROM t_user GROUP BY age", {}},
       // GROUP BY key outside the select list (derived column).
       {"SELECT COUNT(*) FROM t_user GROUP BY age", {}},
